@@ -210,6 +210,9 @@ class KeyIndex {
   }
 
   void Clear() {
+    if (used_ == 0) {
+      return;  // activation re-clears what the preceding cleanup just cleared
+    }
     std::fill(cells_.begin(), cells_.end(), Cell{});
     used_ = 0;
   }

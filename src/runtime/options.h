@@ -232,7 +232,7 @@ const char* ViolationKindName(ViolationKind kind);
 //     currently owned by a consumer and had to run the locked handoff
 //     protocol to intrude on it.
 #define TESLA_RUNTIME_STATS(X)                                                \
-  X(events, "program events examined", 1)                                     \
+  X(events, "events delivered to dispatch", 1)                                \
   X(bound_entries, "temporal-bound entries (init transitions or lazy epoch bumps)", 1) \
   X(bound_exits, "temporal-bound exits (cleanup sweeps)", 1)                  \
   X(instances_created, "automaton instances created", 1)                      \

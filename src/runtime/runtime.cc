@@ -61,10 +61,40 @@ const char* ViolationKindName(ViolationKind kind) {
   return "?";
 }
 
+namespace {
+
+// The interest table's index is symbol * 3 + kind.
+static_assert(static_cast<int>(EventKind::kFunctionCall) == 0 &&
+              static_cast<int>(EventKind::kFunctionReturn) == 1 &&
+              static_cast<int>(EventKind::kFieldStore) == 2);
+
+uint64_t LoadRelaxed(const uint64_t& word) {
+  return std::atomic_ref<uint64_t>(const_cast<uint64_t&>(word)).load(std::memory_order_relaxed);
+}
+
+// Adds every counter of `block` into `total`. Relaxed loads: `block` may be
+// a live context's, bumped concurrently by the thread holding it.
+void AccumulateStats(RuntimeStats& total, const RuntimeStats& block) {
+#define TESLA_STATS_ADD(name, desc, replay) total.name += LoadRelaxed(block.name);
+  TESLA_RUNTIME_STATS(TESLA_STATS_ADD)
+#undef TESLA_STATS_ADD
+}
+
+// Zeroes `block` with relaxed stores, so a concurrent stats() never races.
+void ClearStats(RuntimeStats& block) {
+#define TESLA_STATS_CLEAR(name, desc, replay) \
+  std::atomic_ref<uint64_t>(block.name).store(0, std::memory_order_relaxed);
+  TESLA_RUNTIME_STATS(TESLA_STATS_CLEAR)
+#undef TESLA_STATS_CLEAR
+}
+
+}  // namespace
+
 // --- ThreadContext ---
 
 ThreadContext::ThreadContext(Runtime& runtime)
     : runtime_(runtime),
+      plan_generation_(runtime.plan_generation_),
       classes_(runtime.classes_.size()),
       store_(runtime.ContextPoolCapacity()),
       bound_epochs_(runtime.bound_slot_count_),
@@ -104,8 +134,8 @@ thread_local const Runtime* Runtime::engaged_runtime_ = nullptr;
 thread_local uint64_t Runtime::engaged_shards_ = 0;
 thread_local const Runtime* Runtime::scope_runtime_ = nullptr;
 thread_local const DispatchScope* Runtime::active_scope_ = nullptr;
-thread_local Runtime::StatsFrame* Runtime::stats_frame_ = nullptr;
 thread_local uint64_t Runtime::current_event_ts_ = 0;
+const Runtime::BindingSet Runtime::kNoBindings{};
 
 // The intruder side of the shard-ownership protocol (see GlobalShard in
 // runtime.h for the full memory-ordering argument). The first owner_active
@@ -118,9 +148,8 @@ void Runtime::LockShardAsIntruder(GlobalShard& shard) const {
   shard.lock.lock();
   if (shard.owner_id.load(std::memory_order_relaxed) >= 0) {
     // An inline/sync dispatch landed on a consumer-owned shard: the handoff
-    // path. stats_ is logically mutable here (const accessors intrude too).
-    std::atomic_ref<uint64_t>(const_cast<uint64_t&>(stats_.shard_handoffs))
-        .fetch_add(1, std::memory_order_relaxed);
+    // path (const accessors intrude too, hence the shared block).
+    BumpShared(shared_stats_.shard_handoffs);
   }
   while (shard.owner_active.load(std::memory_order_seq_cst)) {
     // Owner mid-claim: it will see our intruder announcement and retreat.
@@ -164,28 +193,11 @@ void Runtime::UnregisterContext(ThreadContext* ctx) {
   retired_pool_high_water_ =
       std::max<uint64_t>(retired_pool_high_water_, ctx->store_.high_water());
   retired_pool_capacity_ = std::max<uint64_t>(retired_pool_capacity_, ctx->store_.capacity());
+  // Its counters too: stats() keeps reporting a destroyed context's work.
+  AccumulateStats(retired_stats_, ctx->stats_);
 }
 
 Runtime::~Runtime() = default;
-
-void Runtime::FlushStatsFrame(StatsFrame& frame) {
-  uint64_t* counters = reinterpret_cast<uint64_t*>(&stats_);
-  for (size_t i = 0; i < kRuntimeStatsFieldCount; i++) {
-    if (frame.delta[i] != 0) {
-      std::atomic_ref<uint64_t>(counters[i]).fetch_add(frame.delta[i],
-                                                       std::memory_order_relaxed);
-      frame.delta[i] = 0;
-    }
-  }
-}
-
-void Runtime::FlushThreadStats() {
-  for (StatsFrame* frame = stats_frame_; frame != nullptr; frame = frame->prev) {
-    if (frame->runtime == this) {
-      FlushStatsFrame(*frame);
-    }
-  }
-}
 
 Status Runtime::Register(const automata::Manifest& manifest) {
   for (const automata::Automaton& source : manifest.automata) {
@@ -237,6 +249,7 @@ Status Runtime::Register(const automata::Manifest& manifest) {
   }
 
   CompilePlan();
+  plan_generation_++;
 
   // (Re)create the sharded global stores now that classes and the plan are
   // known; their contexts size themselves from the plan's slot counts.
@@ -261,6 +274,7 @@ void Runtime::CompilePlan() {
 
   function_plan_.assign(symbols * 2, KeyPlan{});
   field_plan_.assign(symbols, KeyPlan{});
+  interest_.assign(symbols * 3, 0);
   candidate_pool_.clear();
   class_pool_.clear();
   closed_bounds_pool_.clear();
@@ -478,9 +492,13 @@ void Runtime::CompilePlan() {
       }
     }
     plan.touched_shards = touched & unpinned_shard_mask_;
+    interest_[symbol * 3 + ((key & 1) != 0 ? 0 : 1)] =
+        plan.cand_count != 0 || plan.bound_slot >= 0 || plan.cleanup_slot >= 0 ||
+        plan.stack_slot >= 0;
   }
   for (Symbol symbol = 0; symbol < symbols; symbol++) {
     KeyPlan& plan = field_plan_[symbol];
+    interest_[symbol * 3 + 2] = !field_cands[symbol].empty();
     plan.cand_first = static_cast<uint32_t>(candidate_pool_.size());
     plan.cand_count = static_cast<uint32_t>(field_cands[symbol].size());
     candidate_pool_.insert(candidate_pool_.end(), field_cands[symbol].begin(),
@@ -585,6 +603,7 @@ void Runtime::EnsurePlanCapacity(ThreadContext& ctx) {
       ctx.profile_->class_capacity() < classes_.size()) {
     ctx.profile_ = profile_collector_->RegisterShard();
   }
+  ctx.plan_generation_ = plan_generation_;
 }
 
 int Runtime::FindAutomaton(const std::string& name) const {
@@ -594,26 +613,39 @@ int Runtime::FindAutomaton(const std::string& name) const {
 
 // --- stats & metrics snapshots ---
 
+RuntimeStats Runtime::stats() const {
+  RuntimeStats total;
+  AccumulateStats(total, shared_stats_);
+  LockGuard<Spinlock> guard(contexts_lock_);
+  AccumulateStats(total, retired_stats_);
+  for (const ThreadContext* ctx : live_contexts_) {
+    AccumulateStats(total, ctx->stats_);
+  }
+  return total;
+}
+
 void Runtime::ResetStats() {
-  stats_ = RuntimeStats{};
-  // RuntimeStats::overflows is fed by per-context pool tallies; a reset that
-  // leaves those behind would double-report them through pool_overflows()
-  // style accessors. The pool high-water marks rewind with them — a
-  // measurement window opened now must not inherit an earlier peak through
-  // shard_pool_high_water() or a profile snapshot.
+  ClearStats(shared_stats_);
+  // The pool overflow tallies rewind with the counters — a reset that left
+  // them behind would double-report through shard_pool_overflows(). So do
+  // the pool high-water marks: a measurement window opened now must not
+  // inherit an earlier peak through shard_pool_high_water() or a profile
+  // snapshot.
   for (uint32_t s = 0; s < shards_.size(); s++) {
     ShardGuard guard(*this, s, !ShardHeld(s));
     shards_[s]->context->store_.ResetOverflows();
     shards_[s]->context->store_.ResetHighWater();
   }
   {
-    // Per-thread contexts rewind too (their owners hold no overflow-style
-    // tally, but their pool peaks feed CollectProfile), and the retired
-    // maxima restart from nothing. Quiescent-point contract as above.
+    // Every context's stats block and pool peak rewinds too, and the retired
+    // blocks and maxima restart from nothing. Quiescent-point contract as
+    // above: a context dispatching now could store back a stale count.
     LockGuard<Spinlock> guard(contexts_lock_);
     for (ThreadContext* ctx : live_contexts_) {
+      ClearStats(ctx->stats_);
       ctx->store_.ResetHighWater();
     }
+    ClearStats(retired_stats_);
     retired_pool_high_water_ = 0;
     retired_pool_capacity_ = 0;
   }
@@ -676,7 +708,7 @@ std::string Runtime::ManifestText() const {
 
 metrics::Snapshot Runtime::CollectMetrics() const {
   metrics::Snapshot snapshot;
-  snapshot.stats = stats_;
+  snapshot.stats = stats();
   if (collector_ == nullptr) {
     AugmentSnapshot(snapshot);
     return snapshot;
@@ -863,13 +895,20 @@ void Runtime::AugmentSnapshot(metrics::Snapshot& snapshot) const {
   }
 }
 
-void Runtime::GrowClassStates(ThreadContext& storage) {
-  storage.classes_.resize(classes_.size());
-}
-
 // --- the unified event entry point ---
 
 void Runtime::OnEvent(ThreadContext& ctx, const Event& event) {
+  // Interest gate: an event no registered automaton can use costs one table
+  // load. With a timed class registered every event is delivered — any
+  // event can fire a due deadline. The calling thread may not hold `ctx`
+  // (the ingest hook below hands contexts to queue consumers), so a dropped
+  // truncation is counted in the shared block.
+  if (!any_timed_ && !Observes(event)) {
+    if (event.truncated) [[unlikely]] {
+      BumpShared(shared_stats_.arg_truncations);
+    }
+    return;
+  }
   // Producer-side stamping: with timed clauses registered, the monotonic
   // clock is read once, here, *before* the ingest hook can queue the event —
   // async and sidecar consumers then evaluate deadlines against the
@@ -890,7 +929,9 @@ void Runtime::OnEvent(ThreadContext& ctx, const Event& event) {
       return;
     }
   }
-  EnsurePlanCapacity(ctx);
+  if (!PlanCurrent(ctx)) [[unlikely]] {
+    EnsurePlanCapacity(ctx);
+  }
   DispatchEvent(ctx, event);
 }
 
@@ -898,10 +939,9 @@ void Runtime::OnEvents(ThreadContext& ctx, std::span<const Event> events) {
   if (events.empty()) {
     return;
   }
-  EnsurePlanCapacity(ctx);
-  // Batch the stats alongside the locks: every Bump in the batch becomes a
-  // plain add into a thread-local frame, flushed once on exit (StatsBatch).
-  StatsBatch stats_batch(*this);
+  if (!PlanCurrent(ctx)) [[unlikely]] {
+    EnsurePlanCapacity(ctx);
+  }
   // With no flight recorder, no dispatch timing and no active scope, every
   // event's DispatchEvent prologue is the same few checks — hoist them out
   // of the loop (DispatchBatchPlain). The three inputs are fixed for the
@@ -959,15 +999,15 @@ void Runtime::DispatchBatchPlain(ThreadContext& ctx, std::span<const Event> even
   // The whole batch is counted up front (one Bump instead of one per event);
   // a violation handler observing stats mid-batch sees the batch's event
   // count already applied, which is the documented batch semantics.
-  Bump(stats_.events, events.size());
+  Bump(ctx.stats_.events, events.size());
   for (const Event& event : events) {
     if (event.truncated) [[unlikely]] {
-      Bump(stats_.arg_truncations);
+      Bump(ctx.stats_.arg_truncations);
     }
     if (any_timed_) [[unlikely]] {
       current_event_ts_ = event.ts_ns != 0 ? event.ts_ns : NowNs();
       if (current_event_ts_ < ctx.timed_now_) {
-        Bump(stats_.clock_regressions);
+        Bump(ctx.stats_.clock_regressions);
       }
       TimedTick(ctx, current_event_ts_);
     }
@@ -991,14 +1031,12 @@ void Runtime::OnEventsScoped(ThreadContext& ctx, std::span<const Event> events,
   if (events.empty()) {
     return;
   }
-  if (scope.context) {
+  if (scope.context && !PlanCurrent(ctx)) [[unlikely]] {
     // Only the context stage may grow the producer's context: the plan is
-    // frozen before consumers run, so this is a no-op in steady state, and
+    // frozen before consumers run, so this never fires in steady state, and
     // the shard stage must not write another consumer's home context.
     EnsurePlanCapacity(ctx);
   }
-  // Batch the stats for the whole scoped pass (see StatsBatch).
-  StatsBatch stats_batch(*this);
   // Publish the scope for the duration (restoring any outer frame so a
   // handler re-entering dispatch cannot inherit a stale scope).
   struct ScopeFrame {
@@ -1114,15 +1152,15 @@ void Runtime::DispatchEvent(ThreadContext& ctx, const Event& event) {
     current_event_ts_ = event.ts_ns != 0 ? event.ts_ns : NowNs();
     if (context_stage) {
       if (current_event_ts_ < ctx.timed_now_) [[unlikely]] {
-        Bump(stats_.clock_regressions);
+        Bump(ctx.stats_.clock_regressions);
       }
       TimedTick(ctx, current_event_ts_);
     }
   }
   if (context_stage) {
-    Bump(stats_.events);
+    Bump(ctx.stats_.events);
     if (event.truncated) {
-      Bump(stats_.arg_truncations);
+      Bump(ctx.stats_.arg_truncations);
     }
     if (recorder_ != nullptr && ctx.trace_ != nullptr) {
       recorder_->Record(*ctx.trace_, event);
@@ -1153,7 +1191,7 @@ void Runtime::DispatchEvent(ThreadContext& ctx, const Event& event) {
       // A stepped clock produced a negative delta. The sample still lands
       // in bucket 0 (dropping it would skew sample counts), but it is
       // counted so a depressed p50 can be traced to the clock, not TESLA.
-      Bump(stats_.negative_latencies);
+      Bump(ctx.stats_.negative_latencies);
     }
     ctx.metrics_->RecordLatency(static_cast<size_t>(event.kind),
                                 ns > 0 ? static_cast<uint64_t>(ns) : 0);
@@ -1174,7 +1212,7 @@ void Runtime::ProcessFunctionEvent(ThreadContext& ctx, const Event& event) {
       // A return with no tracked call: the stream started mid-call (e.g. a
       // wrapped flight-recorder capture). Clamp instead of going negative,
       // which would poison incallstack() for the rest of the run.
-      Bump(stats_.unmatched_returns);
+      Bump(ctx.stats_.unmatched_returns);
     } else {
       depth += is_return ? -1 : 1;
     }
@@ -1259,45 +1297,22 @@ void Runtime::ProcessSiteEvent(ThreadContext& ctx, const Event& event) {
       ActiveScope() == nullptr) [[likely]] {
     // Flattened steady-state path: an unbound site event on a per-thread
     // class whose site event is just the site symbol, with no handlers and
-    // no scoped dispatch. Such an event exact-matches every live instance,
-    // so the whole HandleSiteEvent → DispatchToInstances → DispatchScan
-    // cascade reduces to one batch kernel call — this is where the
-    // sub-30 ns/event dispatch budget is won. Anything off the steady state
-    // (inactive class, lazy activation pending, empty population) falls
-    // through to the generic path below, which handles it identically.
-    ClassState& state = StateFor(ctx, automaton_id);
+    // no scoped dispatch, enters DispatchUnbound directly, skipping the
+    // binding, scope, lock and activation checks HandleSiteEvent would make
+    // — this is where the sub-30 ns/event dispatch budget is won. Anything
+    // off the steady state (inactive class, lazy activation pending, empty
+    // population) falls through to the generic path below, which handles it
+    // identically.
+    ClassState& state = ctx.classes_[automaton_id];
     bool active = state.active;
     if (options_.lazy_init) {
       const BoundEpoch& epoch = ctx.bound_epochs_[fast_cls.bound_slot];
       active = active && epoch.open && state.epoch == epoch.epoch;
     }
     if (active && !state.instances.empty()) {
-      if (options_.instance_index && fast_cls.key_mask != 0) {
-        // An unbound event cannot cover the key tuple: always a scan.
-        Bump(stats_.index_scans);
-        BumpClass(ctx, automaton_id, metrics::ClassCounter::index_scans);
-      }
-      if (ProfileShard(ctx, automaton_id) != nullptr) [[unlikely]] {
-        // Same attribution the generic route computes for an unbound site:
-        // gated below the crossover population, partially bound above it —
-        // the determinism differential depends on the two paths agreeing.
-        // (No latency sample: this is the sub-30 ns flattened path.)
-        profile::Cell route = profile::Cell::dispatches;
-        if (options_.instance_index && fast_cls.key_mask != 0) {
-          route = state.instances.size() < fast_cls.min_population
-                      ? profile::Cell::small_population
-                      : profile::Cell::partial_bound;
-        }
-        BindingSet none;
-        ProfileDispatch(ctx, fast_cls, state, none, route);
-      }
-      const uint32_t stepped = fast_cls.step.RunBatch(
-          collector_.get(), ctx.store_.hot_data(), state.instances.data(),
-          state.instances.size(),
-          std::span<const uint16_t>(&fast_cls.automaton.site_symbol, 1));
-      if (stepped != 0) [[likely]] {
-        Bump(stats_.transitions, stepped);
-        BumpClass(ctx, automaton_id, metrics::ClassCounter::transitions, stepped);
+      if (DispatchUnbound(ctx, fast_cls, state,
+                          std::span<const uint16_t>(&fast_cls.automaton.site_symbol, 1)))
+          [[likely]] {
         return;
       }
       // Paper §4.4.1 "Error": no instance could consume the site.
@@ -1305,7 +1320,7 @@ void Runtime::ProcessSiteEvent(ThreadContext& ctx, const Event& event) {
       for (uint32_t slot : state.instances) {
         live |= ctx.store_.states(slot);
       }
-      ReportViolation(automaton_id, ViolationKind::kBadSite,
+      ReportViolation(ctx, automaton_id, ViolationKind::kBadSite,
                       "no instance could accept the assertion site", live);
       return;
     }
@@ -1317,7 +1332,8 @@ void Runtime::ProcessSiteEvent(ThreadContext& ctx, const Event& event) {
     // inconsistent caller-provided bindings and surface a site violation.
     if (event.vars[i] >= kMaxVariables || !bindings.Add(event.vars[i], event.values[i])) {
       if (ScopeContext()) {
-        ReportViolation(automaton_id, ViolationKind::kBadSite, "inconsistent site bindings");
+        ReportViolation(ctx, automaton_id, ViolationKind::kBadSite,
+                        "inconsistent site bindings");
       }
       return;
     }
@@ -1334,7 +1350,7 @@ void Runtime::ProcessSiteEvent(ThreadContext& ctx, const Event& event) {
 
 void Runtime::HandleBoundStart(ThreadContext& ctx, const KeyPlan& plan) {
   if (ScopeContext()) {
-    Bump(stats_.bound_entries);
+    Bump(ctx.stats_.bound_entries);
   }
   if (options_.lazy_init) {
     // O(1): bump the bound's epoch; instances materialise on first real
@@ -1375,7 +1391,7 @@ void Runtime::HandleBoundStart(ThreadContext& ctx, const KeyPlan& plan) {
 void Runtime::HandleBoundEnd(ThreadContext& ctx, const KeyPlan& plan) {
   const bool context_stage = ScopeContext();
   if (context_stage) {
-    Bump(stats_.bound_exits);
+    Bump(ctx.stats_.bound_exits);
   }
   if (!options_.lazy_init) {
     for (uint32_t i = 0; i < plan.end_count; i++) {
@@ -1453,8 +1469,8 @@ void Runtime::CleanupClassSharded(ThreadContext& ctx, uint32_t class_id) {
 
 void Runtime::ActivateClass(ThreadContext& ctx, uint32_t class_id) {
   const CompiledClass& cls = classes_[class_id];
-  ClassState& state = StateFor(ctx, class_id);
   ThreadContext& storage = ContextFor(ctx, class_id);
+  ClassState& state = storage.classes_[class_id];
 
   for (uint32_t slot : state.instances) {
     storage.store_.Free(slot);
@@ -1467,8 +1483,8 @@ void Runtime::ActivateClass(ThreadContext& ctx, uint32_t class_id) {
 
   uint32_t wildcard = storage.store_.Allocate();
   if (wildcard == kNoSlot) {
-    Bump(stats_.overflows);
-    ReportViolation(class_id, ViolationKind::kOverflow, "no space for (*) instance");
+    Bump(storage.stats_.overflows);
+    ReportViolation(storage, class_id, ViolationKind::kOverflow, "no space for (*) instance");
     state.active = false;
     return;
   }
@@ -1477,8 +1493,8 @@ void Runtime::ActivateClass(ThreadContext& ctx, uint32_t class_id) {
   state.instances.push_back(wildcard);
   IndexInstance(storage, cls, state, wildcard);
   state.active = true;
-  Bump(stats_.instances_created);
-  Bump(stats_.transitions);  // the «init» transition itself
+  Bump(storage.stats_.instances_created);
+  Bump(storage.stats_.transitions);  // the «init» transition itself
   BumpClass(storage, class_id, metrics::ClassCounter::instances_created);
   BumpClass(storage, class_id, metrics::ClassCounter::transitions);
   if (collector_ != nullptr) {
@@ -1510,11 +1526,11 @@ void Runtime::ActivateClass(ThreadContext& ctx, uint32_t class_id) {
 
 void Runtime::CleanupClass(ThreadContext& ctx, uint32_t class_id) {
   const CompiledClass& cls = classes_[class_id];
-  ClassState& state = StateFor(ctx, class_id);
+  ThreadContext& storage = ContextFor(ctx, class_id);
+  ClassState& state = storage.classes_[class_id];
   if (!state.active) {
     return;
   }
-  ThreadContext& storage = ContextFor(ctx, class_id);
   if (cls.timed) [[unlikely]] {
     // A deadline that fully elapsed before the bound closed is a violation
     // even when its expiry and the cleanup arrive in the same batch: fire
@@ -1525,7 +1541,7 @@ void Runtime::CleanupClass(ThreadContext& ctx, uint32_t class_id) {
   const uint16_t cleanup_symbol = cls.automaton.cleanup_symbol;
   for (uint32_t slot : state.instances) {
     if (StepSlot(cls, storage, slot, std::span<const uint16_t>(&cleanup_symbol, 1))) {
-      Bump(stats_.accepts);
+      Bump(storage.stats_.accepts);
       BumpClass(storage, class_id, metrics::ClassCounter::accepts);
       if (!handlers_.empty()) {
         const Instance view = storage.store_.Materialize(slot);
@@ -1534,7 +1550,7 @@ void Runtime::CleanupClass(ThreadContext& ctx, uint32_t class_id) {
         }
       }
     } else {
-      ReportViolation(class_id, ViolationKind::kBadCleanup,
+      ReportViolation(storage, class_id, ViolationKind::kBadCleanup,
                       "instance " + storage.store_.Materialize(slot).Name(cls.automaton) +
                           " had not completed when the bound closed",
                       storage.store_.states(slot));
@@ -1552,11 +1568,6 @@ void Runtime::CleanupClass(ThreadContext& ctx, uint32_t class_id) {
     // lazily (serial bump), rate windows reset.
     ResetTimedCells(state);
   }
-}
-
-bool Runtime::EnsureActive(ThreadContext& ctx, uint32_t class_id) {
-  const CompiledClass& cls = classes_[class_id];
-  return EnsureActive(ctx, cls, ContextFor(ctx, class_id), StateFor(ctx, class_id));
 }
 
 bool Runtime::EnsureActive(ThreadContext& ctx, const CompiledClass& cls,
@@ -1637,7 +1648,7 @@ void Runtime::FireExpired(ThreadContext& storage, uint64_t now_ns) {
     cell.serial++;
     const CompiledClass& cls = classes_[entry.class_id];
     const automata::TimedSpec& spec = cls.automaton.timed[entry.spec];
-    Bump(stats_.deadline_expiries);
+    Bump(storage.stats_.deadline_expiries);
     if (profile::Shard* pshard = ProfileShard(storage, entry.class_id)) {
       pshard->Add(entry.class_id, profile::Cell::deadline_expiries);
     }
@@ -1647,7 +1658,7 @@ void Runtime::FireExpired(ThreadContext& storage, uint64_t now_ns) {
     for (uint32_t slot : state.instances) {
       live |= storage.store_.states(slot);
     }
-    ReportViolation(entry.class_id, ViolationKind::kDeadlineExpired,
+    ReportViolation(storage, entry.class_id, ViolationKind::kDeadlineExpired,
                     "within_ms(" + std::to_string(spec.bound_ns / 1000000) +
                         ") deadline expired " + std::to_string(now_ns - entry.deadline_ns) +
                         " ns before the region completed",
@@ -1668,21 +1679,29 @@ void Runtime::TimedObserve(ThreadContext& storage, const CompiledClass& cls,
   // The class-level view: the union of every live instance's states. Timed
   // clauses are properties of the *class* within its bound — per-instance
   // deadlines would false-alarm on the lingering (∗) parent, which never
-  // leaves the region it seeds. O(live), paid only by timed classes.
+  // leaves the region it seeds. O(live), so computed at most once and only
+  // when a within_ms() spec or a rate() violation's highlight needs it.
   automata::StateSet occupied = 0;
-  for (uint32_t slot : state.instances) {
-    occupied |= storage.store_.states(slot);
-  }
+  bool occupied_known = false;
+  auto occupancy = [&]() {
+    if (!occupied_known) {
+      for (uint32_t slot : state.instances) {
+        occupied |= storage.store_.states(slot);
+      }
+      occupied_known = true;
+    }
+    return occupied;
+  };
   for (size_t k = 0; k < specs.size(); k++) {
     const automata::TimedSpec& spec = specs[k];
     TimedCell& cell = state.timed[k];
     if (spec.kind == automata::TimedSpec::kWithin) {
-      const bool live = (occupied & spec.armed_mask) != 0;
+      const bool live = (occupancy() & spec.armed_mask) != 0;
       if (live && !cell.armed) {
         cell.armed = true;
         cell.serial++;
         cell.deadline_ns = now + spec.bound_ns;
-        Bump(stats_.deadline_arms);
+        Bump(storage.stats_.deadline_arms);
         if (profile::Shard* pshard = ProfileShard(storage, cls.id)) {
           pshard->Add(cls.id, profile::Cell::deadline_arms);
         }
@@ -1725,12 +1744,12 @@ void Runtime::TimedObserve(ThreadContext& storage, const CompiledClass& cls,
       cell.window_count++;
       if (cell.window_count > spec.limit && !cell.window_tripped) {
         cell.window_tripped = true;  // one report per window
-        Bump(stats_.rate_violations);
-        ReportViolation(cls.id, ViolationKind::kRateExceeded,
+        Bump(storage.stats_.rate_violations);
+        ReportViolation(storage, cls.id, ViolationKind::kRateExceeded,
                         "rate(" + std::to_string(spec.limit) + ", per_ms(" +
                             std::to_string(spec.bound_ns / 1000000) + ")) exceeded: event " +
                             std::to_string(cell.window_count) + " in the window",
-                        occupied & spec.armed_mask);
+                        occupancy() & spec.armed_mask);
       }
     }
   }
@@ -1751,48 +1770,40 @@ void Runtime::ResetTimedCells(ClassState& state) {
 
 void Runtime::HandleEvent(ThreadContext& ctx, const Candidate& candidate,
                           const BindingSet& bindings) {
+  // Resolve the class's storage context and state once; activation,
+  // dispatch, the timed hooks and the strictness report all reuse them.
   const CompiledClass& cls = classes_[candidate.class_id];
   ShardGuard guard(*this, cls.shard, cls.is_global && !ShardHeld(cls.shard));
-  HandleEventLocked(ctx, candidate, bindings);
-}
-
-void Runtime::HandleEventLocked(ThreadContext& ctx, const Candidate& candidate,
-                                const BindingSet& bindings) {
-  const CompiledClass& timed_cls = classes_[candidate.class_id];
-  if (timed_cls.timed) [[unlikely]] {
+  ThreadContext& storage = ContextFor(ctx, cls.id);
+  ClassState& state = storage.classes_[cls.id];
+  if (cls.timed) [[unlikely]] {
     // Expiries precede the arriving event: an event at ts == deadline can
     // still satisfy its region, anything strictly later fires first.
-    TimedTick(ContextFor(ctx, candidate.class_id), current_event_ts_);
+    TimedTick(storage, current_event_ts_);
   }
-  if (!EnsureActive(ctx, candidate.class_id)) {
+  if (!EnsureActive(ctx, cls, storage, state)) {
     return;
   }
-  const uint16_t symbol = candidate.symbol;
-  bool stepped = DispatchToInstances(ctx, candidate.class_id, bindings,
-                                     std::span<const uint16_t>(&symbol, 1));
-  if (timed_cls.timed) [[unlikely]] {
-    TimedObserve(ContextFor(ctx, candidate.class_id), timed_cls,
-                 StateFor(ctx, candidate.class_id),
-                 std::span<const uint16_t>(&symbol, 1), stepped);
+  const std::span<const uint16_t> symbols(&candidate.symbol, 1);
+  const bool stepped = DispatchToInstances(storage, cls, state, bindings, symbols);
+  if (cls.timed) [[unlikely]] {
+    TimedObserve(storage, cls, state, symbols, stepped);
   }
-  if (!stepped) {
-    if (classes_[candidate.class_id].automaton.strict) {
-      ThreadContext& storage = ContextFor(ctx, candidate.class_id);
-      automata::StateSet live = 0;
-      for (uint32_t slot : StateFor(ctx, candidate.class_id).instances) {
-        live |= storage.store_.states(slot);
-      }
-      ReportViolation(candidate.class_id, ViolationKind::kStrictEvent,
-                      "event '" +
-                          classes_[candidate.class_id]
-                              .automaton.alphabet[candidate.symbol]
-                              .ToString() +
-                          "' had no valid transition",
-                      live);
-    } else {
-      Bump(stats_.ignored_events);
-    }
+  if (stepped) {
+    return;
   }
+  if (!cls.automaton.strict) {
+    Bump(storage.stats_.ignored_events);
+    return;
+  }
+  automata::StateSet live = 0;
+  for (uint32_t slot : state.instances) {
+    live |= storage.store_.states(slot);
+  }
+  ReportViolation(storage, cls.id, ViolationKind::kStrictEvent,
+                  "event '" + cls.automaton.alphabet[candidate.symbol].ToString() +
+                      "' had no valid transition",
+                  live);
 }
 
 void Runtime::HandleSiteEvent(ThreadContext& ctx, uint32_t class_id,
@@ -1801,14 +1812,14 @@ void Runtime::HandleSiteEvent(ThreadContext& ctx, uint32_t class_id,
   // activation check, dispatch, the stuck-automaton report — reuses them.
   const CompiledClass& cls = classes_[class_id];
   ThreadContext& storage = ContextFor(ctx, class_id);
-  ClassState& state = StateFor(ctx, class_id);
+  ClassState& state = storage.classes_[class_id];
   if (cls.timed) [[unlikely]] {
     // Expiries strictly before this event's timestamp fire before the site
-    // dispatches (see HandleEventLocked).
+    // dispatches (see HandleEvent).
     TimedTick(storage, current_event_ts_);
   }
   if (!EnsureActive(ctx, cls, storage, state)) {
-    Bump(stats_.ignored_events);  // site reached outside its temporal bound
+    Bump(storage.stats_.ignored_events);  // site reached outside its temporal bound
     return;
   }
 
@@ -1826,7 +1837,7 @@ void Runtime::HandleSiteEvent(ThreadContext& ctx, uint32_t class_id,
       // The assertion's expression references no site event (e.g. a pure
       // TSEQUENCE or optional() form); the site marker carries no automaton
       // meaning and is ignored.
-      Bump(stats_.ignored_events);
+      Bump(storage.stats_.ignored_events);
       return;
     }
     symbol_span = std::span<const uint16_t>(&cls.automaton.site_symbol, 1);
@@ -1842,7 +1853,7 @@ void Runtime::HandleSiteEvent(ThreadContext& ctx, uint32_t class_id,
     if (symbols.empty()) {
       // incallstack()-only site, with no predicate satisfied: the site could
       // not be consumed.
-      ReportViolation(class_id, ViolationKind::kBadSite,
+      ReportViolation(storage, class_id, ViolationKind::kBadSite,
                       "assertion site with no satisfiable site event");
       return;
     }
@@ -1861,7 +1872,7 @@ void Runtime::HandleSiteEvent(ThreadContext& ctx, uint32_t class_id,
     for (uint32_t slot : state.instances) {
       live |= storage.store_.states(slot);
     }
-    ReportViolation(class_id, ViolationKind::kBadSite,
+    ReportViolation(storage, class_id, ViolationKind::kBadSite,
                     "no instance could accept the assertion site", live);
   }
 }
@@ -1881,17 +1892,41 @@ uint32_t BindingsVarMask(const Binding* entries, size_t count) {
 
 }  // namespace
 
-bool Runtime::DispatchToInstances(ThreadContext& ctx, uint32_t class_id,
-                                  const BindingSet& bindings,
-                                  std::span<const uint16_t> symbols) {
-  const CompiledClass& cls = classes_[class_id];
-  return DispatchToInstances(ContextFor(ctx, class_id), cls, StateFor(ctx, class_id), bindings,
-                             symbols);
+template <typename Run>
+auto Runtime::Profiled(ThreadContext& storage, const CompiledClass& cls, const ClassState& state,
+                       const BindingSet& bindings, profile::Cell route, Run&& run) {
+  profile::Shard* pshard = ProfileShard(storage, cls.id);
+  if (pshard == nullptr) [[likely]] {
+    return run();
+  }
+  ProfileDispatch(storage, cls, state, bindings, route);
+  // 1-in-64 sampled dispatch latency: two clock reads amortised to well
+  // under a nanosecond per event, keeping the profiler inside its ≤5
+  // ns/event budget (BENCH_profile.json gates it).
+  if ((pshard->NextTick() & 63) != 0) [[likely]] {
+    return run();
+  }
+  const uint64_t start = NowNs();
+  const auto result = run();
+  const int64_t ns = static_cast<int64_t>(NowNs()) - static_cast<int64_t>(start);
+  if (ns < 0) {
+    // Same clock-skew accounting as the kFull dispatch bracket: the sample
+    // still lands in bucket 0 (dropping it would skew sample counts), but
+    // the stepped clock is counted instead of silently clamped — a
+    // depressed sampled p50 must be traceable to the clock.
+    Bump(storage.stats_.negative_latencies);
+  }
+  pshard->Add(cls.id, profile::Cell::latency_ns, ns > 0 ? static_cast<uint64_t>(ns) : 0);
+  pshard->Add(cls.id, profile::Cell::latency_samples);
+  return result;
 }
 
 bool Runtime::DispatchToInstances(ThreadContext& storage, const CompiledClass& cls,
                                   ClassState& state, const BindingSet& bindings,
                                   std::span<const uint16_t> symbols) {
+  if (bindings.count == 0 && handlers_.empty()) {
+    return DispatchUnbound(storage, cls, state, symbols);
+  }
   const uint32_t class_id = cls.id;
   // Route decision, made once: the profile cell naming the route doubles as
   // the profiler's attribution (Cell::dispatches = plain scan, nothing to
@@ -1905,13 +1940,13 @@ bool Runtime::DispatchToInstances(ThreadContext& storage, const CompiledClass& c
       // still files every clone — so the probe path is valid again the
       // moment the population grows past the threshold. Per-class since
       // plan hints can override the knob (min_population=0 probes always).
-      Bump(stats_.index_scans);
+      Bump(storage.stats_.index_scans);
       BumpClass(storage, class_id, metrics::ClassCounter::index_scans);
       route = profile::Cell::small_population;
     } else {
       const uint32_t bound = BindingsVarMask(bindings.entries, bindings.count);
       if (bound == cls.key_mask) {
-        Bump(stats_.index_probes);
+        Bump(storage.stats_.index_probes);
         BumpClass(storage, class_id, metrics::ClassCounter::index_probes);
         route = profile::Cell::index_probes;
       } else if (cls.prefix_pos != CompiledClass::kNoPrefix &&
@@ -1919,7 +1954,7 @@ bool Runtime::DispatchToInstances(ThreadContext& storage, const CompiledClass& c
         // Partially bound, but the profile-hinted prefix variable is bound:
         // the secondary index narrows the walk to one prefix bucket plus
         // the short prefix-unbound tail.
-        Bump(stats_.index_probes);
+        Bump(storage.stats_.index_probes);
         BumpClass(storage, class_id, metrics::ClassCounter::index_probes);
         route = profile::Cell::prefix_probes;
       } else {
@@ -1927,13 +1962,13 @@ bool Runtime::DispatchToInstances(ThreadContext& storage, const CompiledClass& c
         // variables cannot be answered by one bucket; fall back to the
         // scan. The index stays coherent because clone insertion goes
         // through IndexInstance.
-        Bump(stats_.index_scans);
+        Bump(storage.stats_.index_scans);
         BumpClass(storage, class_id, metrics::ClassCounter::index_scans);
         route = profile::Cell::partial_bound;
       }
     }
   }
-  auto run = [&]() {
+  return Profiled(storage, cls, state, bindings, route, [&]() {
     if (route == profile::Cell::index_probes) {
       return DispatchIndexed(storage, cls, state, bindings, symbols);
     }
@@ -1941,31 +1976,31 @@ bool Runtime::DispatchToInstances(ThreadContext& storage, const CompiledClass& c
       return DispatchPrefix(storage, cls, state, bindings, symbols);
     }
     return DispatchScan(storage, cls, state, bindings, symbols);
-  };
-  profile::Shard* pshard = ProfileShard(storage, class_id);
-  if (pshard == nullptr) [[likely]] {
-    return run();
+  });
+}
+
+bool Runtime::DispatchUnbound(ThreadContext& storage, const CompiledClass& cls,
+                              ClassState& state, std::span<const uint16_t> symbols) {
+  // The route DispatchToInstances would pick: an unbound event cannot cover
+  // a key tuple, so a keyed class always counts a scan.
+  profile::Cell route = profile::Cell::dispatches;
+  if (options_.instance_index && cls.key_mask != 0) {
+    Bump(storage.stats_.index_scans);
+    BumpClass(storage, cls.id, metrics::ClassCounter::index_scans);
+    route = state.instances.size() < cls.min_population ? profile::Cell::small_population
+                                                        : profile::Cell::partial_bound;
   }
-  ProfileDispatch(storage, cls, state, bindings, route);
-  // 1-in-64 sampled dispatch latency: two clock reads amortised to well
-  // under a nanosecond per event, keeping the profiler inside its ≤5
-  // ns/event budget (BENCH_profile.json gates it).
-  if ((pshard->NextTick() & 63) != 0) [[likely]] {
-    return run();
+  const uint32_t stepped = Profiled(storage, cls, state, kNoBindings, route, [&]() {
+    return state.instances.empty()
+               ? 0u
+               : cls.step.RunBatch(collector_.get(), storage.store_.hot_data(),
+                                   state.instances.data(), state.instances.size(), symbols);
+  });
+  if (stepped != 0) [[likely]] {
+    Bump(storage.stats_.transitions, stepped);
+    BumpClass(storage, cls.id, metrics::ClassCounter::transitions, stepped);
   }
-  const uint64_t start = NowNs();
-  const bool stepped = run();
-  const int64_t ns = static_cast<int64_t>(NowNs()) - static_cast<int64_t>(start);
-  if (ns < 0) {
-    // Same clock-skew accounting as the kFull dispatch bracket above: the
-    // sample still lands in bucket 0 (dropping it would skew sample
-    // counts), but the stepped clock is counted instead of silently
-    // clamped — a depressed sampled p50 must be traceable to the clock.
-    Bump(stats_.negative_latencies);
-  }
-  pshard->Add(class_id, profile::Cell::latency_ns, ns > 0 ? static_cast<uint64_t>(ns) : 0);
-  pshard->Add(class_id, profile::Cell::latency_samples);
-  return stepped;
+  return stepped != 0;
 }
 
 // Fast path: the event binds exactly the class's key variables, so the
@@ -2043,8 +2078,8 @@ bool Runtime::DispatchIndexed(ThreadContext& storage, const CompiledClass& cls,
     }
     uint32_t slot = storage.store_.Allocate();
     if (slot == kNoSlot) {
-      Bump(stats_.overflows);
-      ReportViolation(cls.id, ViolationKind::kOverflow, "no space to clone instance");
+      Bump(storage.stats_.overflows);
+      ReportViolation(storage, cls.id, ViolationKind::kOverflow, "no space to clone instance");
       continue;
     }
     storage.store_.Assign(slot, candidate);
@@ -2057,7 +2092,7 @@ bool Runtime::DispatchIndexed(ThreadContext& storage, const CompiledClass& cls,
     }
     new_head = slot;
     any_step = true;
-    Bump(stats_.instances_cloned);
+    Bump(storage.stats_.instances_cloned);
     BumpClass(storage, cls.id, metrics::ClassCounter::instances_cloned);
     if (!handlers_.empty()) {
       const Instance parent_view = storage.store_.Materialize(parent);
@@ -2074,26 +2109,6 @@ bool Runtime::DispatchIndexed(ThreadContext& storage, const CompiledClass& cls,
 // cover the key tuple. Keeps the index coherent for later fast-path events.
 bool Runtime::DispatchScan(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
                            const BindingSet& bindings, std::span<const uint16_t> symbols) {
-  if (bindings.count == 0 && handlers_.empty()) {
-    // An unbound event (the common assertion-site shape) exact-matches every
-    // live instance, so pass 1 degenerates to stepping the whole population
-    // and pass 2 never runs (any instance at all is an exact match). With no
-    // handlers subscribed the walk is one batch kernel call — the per-slot
-    // match/step/bump round trip is replaced by the kernel's own slot loop
-    // and a single aggregated transition count.
-    if (state.instances.empty()) {
-      return false;
-    }
-    const uint32_t stepped =
-        cls.step.RunBatch(collector_.get(), storage.store_.hot_data(), state.instances.data(),
-                          state.instances.size(), symbols);
-    if (stepped != 0) {
-      Bump(stats_.transitions, stepped);
-      BumpClass(storage, cls.id, metrics::ClassCounter::transitions, stepped);
-    }
-    return stepped != 0;
-  }
-
   // Pass 1: instances already bound to exactly these values.
   bool any_exact = false;
   bool any_step = false;
@@ -2141,15 +2156,15 @@ bool Runtime::DispatchScan(ThreadContext& storage, const CompiledClass& cls, Cla
     }
     uint32_t slot = storage.store_.Allocate();
     if (slot == kNoSlot) {
-      Bump(stats_.overflows);
-      ReportViolation(cls.id, ViolationKind::kOverflow, "no space to clone instance");
+      Bump(storage.stats_.overflows);
+      ReportViolation(storage, cls.id, ViolationKind::kOverflow, "no space to clone instance");
       continue;
     }
     storage.store_.Assign(slot, candidate);
     state.instances.push_back(slot);
     IndexInstance(storage, cls, state, slot);
     any_step = true;
-    Bump(stats_.instances_cloned);
+    Bump(storage.stats_.instances_cloned);
     BumpClass(storage, cls.id, metrics::ClassCounter::instances_cloned);
     if (!handlers_.empty()) {
       const Instance parent_view = storage.store_.Materialize(parent);
@@ -2268,15 +2283,15 @@ bool Runtime::DispatchPrefix(ThreadContext& storage, const CompiledClass& cls,
     }
     uint32_t slot = storage.store_.Allocate();
     if (slot == kNoSlot) {
-      Bump(stats_.overflows);
-      ReportViolation(cls.id, ViolationKind::kOverflow, "no space to clone instance");
+      Bump(storage.stats_.overflows);
+      ReportViolation(storage, cls.id, ViolationKind::kOverflow, "no space to clone instance");
       return;
     }
     storage.store_.Assign(slot, candidate);
     state.instances.push_back(slot);
     IndexInstance(storage, cls, state, slot);
     any_step = true;
-    Bump(stats_.instances_cloned);
+    Bump(storage.stats_.instances_cloned);
     BumpClass(storage, cls.id, metrics::ClassCounter::instances_cloned);
     if (!handlers_.empty()) {
       const Instance parent_view = storage.store_.Materialize(parent);
@@ -2303,7 +2318,7 @@ bool Runtime::StepSlot(const CompiledClass& cls, ThreadContext& storage, uint32_
                 &from, &symbol)) {
     return false;
   }
-  Bump(stats_.transitions);
+  Bump(storage.stats_.transitions);
   BumpClass(storage, cls.id, metrics::ClassCounter::transitions);
   if (!handlers_.empty()) {
     ClassInfo info{cls.id, &cls.automaton};
@@ -2322,7 +2337,7 @@ bool Runtime::StepInstance(const CompiledClass& cls, ThreadContext& storage,
   if (!StepCore(cls, instance.states, instance.dfa_state, symbols, &from, &symbol)) {
     return false;
   }
-  Bump(stats_.transitions);
+  Bump(storage.stats_.transitions);
   BumpClass(storage, cls.id, metrics::ClassCounter::transitions);
   if (!handlers_.empty()) {
     ClassInfo info{cls.id, &cls.automaton};
@@ -2386,13 +2401,11 @@ bool Runtime::MatchArg(const automata::ArgMatch& match, int64_t value,
   return false;
 }
 
-void Runtime::ReportViolation(uint32_t class_id, ViolationKind kind, const std::string& detail,
-                              automata::StateSet highlight) {
-  Bump(stats_.violations);
-  // A violation handler (or the fail-stop abort below) may read stats();
-  // push any batched deltas out so it sees everything that led up to the
-  // violation, including the violation itself.
-  FlushThreadStats();
+void Runtime::ReportViolation(ThreadContext& owner, uint32_t class_id, ViolationKind kind,
+                              const std::string& detail, automata::StateSet highlight) {
+  // Counted before the handlers run: one reading stats() sees the violation
+  // and everything that led up to it (its own thread's writes).
+  Bump(owner.stats_.violations);
   if (collector_ != nullptr) {
     // No storage context is in scope here; the lock-guarded spill table is
     // fine for a path that already formats strings.

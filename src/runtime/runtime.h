@@ -164,6 +164,14 @@ class ThreadContext {
   friend class Runtime;
 
   Runtime& runtime_;
+  // This context's share of RuntimeStats. Single-writer like the rest of
+  // the context: the thread holding it exclusively bumps with a relaxed
+  // load and store; Runtime::stats() sums it with relaxed loads.
+  RuntimeStats stats_;
+  // The plan generation this context's slot-indexed vectors are sized for
+  // (Runtime::plan_generation_; one compare per event replaces the
+  // capacity checks).
+  uint64_t plan_generation_ = 0;
   std::vector<ClassState> classes_;
   InstanceStore store_;
   // Dense plan-slot indexed state (see Runtime's compiled dispatch plan):
@@ -214,7 +222,24 @@ class Runtime {
 
   // --- the unified event entry point ---
 
+  // Delivers `event` to dispatch, unless no registered automaton can use it
+  // (see Observes()) and no timed class is registered: such an event
+  // returns before stamping, the ingest hook, the recorder and the stats,
+  // counting only an argument truncation.
   void OnEvent(ThreadContext& ctx, const Event& event);
+
+  // The interest table: true when the compiled plan gives `event` a role —
+  // a call or return with a candidate pattern, a bound start, a bound end or
+  // a tracked incallstack() slot; a field store with a candidate pattern.
+  // Assertion sites are always observed. Equals the manifest's
+  // ComputeRequirements() hook sets by construction.
+  bool Observes(const Event& event) const {
+    if (event.kind == EventKind::kAssertionSite) {
+      return true;
+    }
+    const size_t index = size_t{event.target} * 3 + static_cast<size_t>(event.kind);
+    return index < interest_.size() && interest_[index] != 0;
+  }
 
   // Async ingestion interposition (src/queue). When a hook is installed,
   // OnEvent offers every event to it *before* touching the context or any
@@ -237,19 +262,22 @@ class Runtime {
   // exposition formats surface it): a consumer batch of `events` events
   // dispatched, and `dropped` events rejected at enqueue.
   void AccountQueueBatch(uint64_t events) {
-    Bump(stats_.queue_events, events);
-    Bump(stats_.queue_batches);
+    BumpShared(shared_stats_.queue_events, events);
+    BumpShared(shared_stats_.queue_batches);
   }
-  void AccountQueueDrops(uint64_t dropped) { Bump(stats_.queue_drops, dropped); }
-  void AccountQueueForwards(uint64_t forwards) { Bump(stats_.queue_forwards, forwards); }
-  void AccountQueueSteals(uint64_t steals) { Bump(stats_.queue_steals, steals); }
+  void AccountQueueDrops(uint64_t dropped) { BumpShared(shared_stats_.queue_drops, dropped); }
+  void AccountQueueForwards(uint64_t forwards) {
+    BumpShared(shared_stats_.queue_forwards, forwards);
+  }
+  void AccountQueueSteals(uint64_t steals) { BumpShared(shared_stats_.queue_steals, steals); }
 
-  // Batch ingestion: semantically identical to calling OnEvent once per
-  // element, but amortises the per-call overheads — plan-capacity checks run
-  // once, and when global automata are registered every shard lock is taken
-  // once for the whole batch instead of once per event (nested per-event
-  // acquisitions are elided via the batch-owner check). The replay path and
-  // event-queue front-ends feed this.
+  // Batch ingestion: dispatches exactly the events given — no interest
+  // gate, so a capture replays every event it holds — and amortises the
+  // per-call overheads: the plan-generation check runs once, and when global
+  // automata are registered every shard lock is taken once for the whole
+  // batch instead of once per event (nested per-event acquisitions are
+  // elided via the batch-owner check). The replay path and event-queue
+  // front-ends feed this.
   void OnEvents(ThreadContext& ctx, std::span<const Event> events);
 
   // Scope-restricted batch dispatch for the async queue's two-stage routing
@@ -305,8 +333,12 @@ class Runtime {
     OnEvent(ctx, Event::Site(automaton_id, site_bindings));
   }
 
-  const RuntimeStats& stats() const { return stats_; }
-  // Zeroes the global stats *and* every derived tally a stats consumer can
+  // A snapshot of the counters: the shared block, plus every live
+  // context's block, plus the blocks folded in when contexts unregistered.
+  // Relaxed loads, so safe to call while other threads dispatch; each
+  // counter is exact at a quiescent point.
+  RuntimeStats stats() const;
+  // Zeroes every stats block *and* every derived tally a stats consumer can
   // observe: the per-shard instance-pool overflow counts and the metrics
   // collector's counters, histograms and coverage bitmap. Call at a
   // quiescent point for exact deltas.
@@ -523,6 +555,8 @@ class Runtime {
       return true;
     }
   };
+  // The bindings of an unbound event (DispatchUnbound's profile view).
+  static const BindingSet kNoBindings;
 
   // Routing keys: function symbol + call/return discriminator.
   static uint64_t CallKey(Symbol function) { return (uint64_t{function} << 1) | 1; }
@@ -531,31 +565,28 @@ class Runtime {
   // Recompiles the flat dispatch plan from classes_ (idempotent; run after
   // every Register() so repeated registration stays legal).
   void CompilePlan();
-  // Grows `ctx`'s slot-indexed vectors to the current plan's extents. Only
-  // does work when Register() ran after the context was created.
+  // Grows `ctx`'s slot-indexed vectors to the current plan's extents when
+  // Register() ran after the context was created (the entry points call it
+  // only on a plan-generation mismatch).
   void EnsurePlanCapacity(ThreadContext& ctx);
+  bool PlanCurrent(const ThreadContext& ctx) const {
+    return ctx.plan_generation_ == plan_generation_;
+  }
 
+  // The storage context hosting `class_id`'s instances. Every storage
+  // context is sized for the current plan: shard contexts are rebuilt by
+  // Register(), per-thread ones grown by the entry points.
   ThreadContext& ContextFor(ThreadContext& ctx, uint32_t class_id) {
     const CompiledClass& cls = classes_[class_id];
     return cls.is_global ? *shards_[cls.shard]->context : ctx;
   }
-  // Inline (it sits on every event's dispatch path, usually twice); the grow
-  // branch only fires for a context created before a later Register().
-  ClassState& StateFor(ThreadContext& ctx, uint32_t class_id) {
-    ThreadContext& storage = ContextFor(ctx, class_id);
-    if (storage.classes_.size() <= class_id) [[unlikely]] {
-      GrowClassStates(storage);
-    }
-    return storage.classes_[class_id];
-  }
-  void GrowClassStates(ThreadContext& storage);
   int32_t StackSlotFor(Symbol function) const {
     const uint64_t key = CallKey(function);
     return key < function_plan_.size() ? function_plan_[key].stack_slot : -1;
   }
 
-  // OnEvent minus the per-call capacity check: the shared core of the
-  // one-at-a-time and batch entry points (records to the flight recorder,
+  // OnEvent minus the gate and the plan-generation check: the shared core of
+  // the one-at-a-time and batch entry points (records to the flight recorder,
   // then routes by kind).
   void DispatchEvent(ThreadContext& ctx, const Event& event);
   // The batch loop with DispatchEvent's per-event prologue hoisted out —
@@ -634,25 +665,36 @@ class Runtime {
   void ActivateClass(ThreadContext& ctx, uint32_t class_id);
   void CleanupClass(ThreadContext& ctx, uint32_t class_id);
   // Returns true if the class is (or, lazily, becomes) active. For global
-  // classes the caller must hold the class's shard lock. The hoisted form
-  // takes the class/storage/state the caller already resolved — the
-  // per-event site path computes them exactly once.
-  bool EnsureActive(ThreadContext& ctx, uint32_t class_id);
+  // classes the caller must hold the class's shard lock. Takes the class,
+  // storage context and state the caller already resolved: every candidate
+  // resolves them exactly once.
   bool EnsureActive(ThreadContext& ctx, const CompiledClass& cls, ThreadContext& storage,
                     ClassState& state);
 
+  // One function or field candidate whose pattern matched: takes the
+  // class's shard, activates it lazily, dispatches, and accounts an
+  // unconsumed event (strict violation or ignored).
   void HandleEvent(ThreadContext& ctx, const Candidate& candidate, const BindingSet& bindings);
-  void HandleEventLocked(ThreadContext& ctx, const Candidate& candidate,
-                         const BindingSet& bindings);
   void HandleSiteEvent(ThreadContext& ctx, uint32_t class_id, const BindingSet& bindings);
   // Shared instance-matching core: steps exact matches or clones consistent
   // instances on any of `symbols`; returns true if any instance stepped.
-  // Routes to the index probe when the event's bindings cover the class's
-  // key variables, otherwise to the (semantics-identical) linear scan.
-  bool DispatchToInstances(ThreadContext& ctx, uint32_t class_id, const BindingSet& bindings,
-                           std::span<const uint16_t> symbols);
+  // Routes an unbound event with no handlers to DispatchUnbound, an event
+  // whose bindings cover the class's key variables to the index probe, and
+  // everything else to the (semantics-identical) linear scan.
   bool DispatchToInstances(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
                            const BindingSet& bindings, std::span<const uint16_t> symbols);
+  // The flattened path: an unbound event exact-matches every live instance,
+  // so with no handlers the whole dispatch is one batch kernel call over
+  // the population. Same stats, coverage and profile attribution as the
+  // scan it replaces. Also the site fast path in ProcessSiteEvent.
+  bool DispatchUnbound(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
+                       std::span<const uint16_t> symbols);
+  // Runs `run` (one dispatch decision of `cls` on `storage`) under the
+  // profiler: route attribution plus the 1-in-64 latency sample. One null
+  // check when profiling is off.
+  template <typename Run>
+  auto Profiled(ThreadContext& storage, const CompiledClass& cls, const ClassState& state,
+                const BindingSet& bindings, profile::Cell route, Run&& run);
   bool DispatchIndexed(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
                        const BindingSet& bindings, std::span<const uint16_t> symbols);
   bool DispatchScan(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
@@ -694,56 +736,29 @@ class Runtime {
                             int64_t return_value, BindingSet* bindings) const;
   bool MatchArg(const automata::ArgMatch& match, int64_t value, BindingSet* bindings) const;
 
-  // `highlight`: the automaton states live at the violation (0 when the call
-  // site cannot cheaply know them) — rendered into the forensic DOT graph.
-  void ReportViolation(uint32_t class_id, ViolationKind kind, const std::string& detail,
-                       automata::StateSet highlight = 0);
+  // `owner`: the context whose stats block counts the violation (the one
+  // the caller holds). `highlight`: the automaton states live at the
+  // violation (0 when the call site cannot cheaply know them) — rendered
+  // into the forensic DOT graph.
+  void ReportViolation(ThreadContext& owner, uint32_t class_id, ViolationKind kind,
+                       const std::string& detail, automata::StateSet highlight = 0);
   // Harvests the flight recorder and renders the temporal backtrace plus the
   // highlighted DOT graph for one violating class.
   std::string BuildForensics(uint32_t class_id, automata::StateSet highlight) const;
 
-  // Stats batching: the batch entry points open a per-thread StatsFrame so
-  // every Bump inside the batch is one plain add into a local delta array
-  // instead of an atomic RMW on the shared RuntimeStats cache lines; the
-  // frame flushes its nonzero deltas on close. RuntimeStats is uint64_t-only
-  // (the X-macro static_assert), so a counter's index is its offset from the
-  // struct base. Frames chain (a handler may re-enter a batch entry point)
-  // and carry their runtime, so a frame for another Runtime never absorbs
-  // this one's counts. ReportViolation flushes mid-batch: a violation
-  // handler reading stats() must see everything that led up to it.
-  struct StatsFrame {
-    const Runtime* runtime = nullptr;
-    StatsFrame* prev = nullptr;
-    uint64_t delta[kRuntimeStatsFieldCount] = {};
-  };
-  class StatsBatch {
-   public:
-    explicit StatsBatch(Runtime& runtime) : runtime_(runtime) {
-      frame_.runtime = &runtime;
-      frame_.prev = stats_frame_;
-      stats_frame_ = &frame_;
-    }
-    ~StatsBatch() {
-      stats_frame_ = frame_.prev;
-      runtime_.FlushStatsFrame(frame_);
-    }
-    StatsBatch(const StatsBatch&) = delete;
-    StatsBatch& operator=(const StatsBatch&) = delete;
-
-   private:
-    Runtime& runtime_;
-    StatsFrame frame_;
-  };
-  void FlushStatsFrame(StatsFrame& frame);
-  // Flushes every frame on this thread's chain that belongs to this runtime.
-  void FlushThreadStats();
-
-  void Bump(uint64_t& counter, uint64_t amount = 1) {
-    StatsFrame* frame = stats_frame_;
-    if (frame != nullptr && frame->runtime == this) {
-      frame->delta[&counter - reinterpret_cast<uint64_t*>(&stats_)] += amount;
-      return;
-    }
+  // Statistics ownership (DESIGN.md): every hot-path counter lives in the
+  // stats block of a context the bumping thread holds exclusively — the
+  // storage context for class-scoped counts, the entry context for
+  // event-level ones — so a bump is a relaxed load and store, never an RMW.
+  // stats() reads the same words with relaxed loads.
+  static void Bump(uint64_t& counter, uint64_t amount = 1) {
+    std::atomic_ref<uint64_t> ref(counter);
+    ref.store(ref.load(std::memory_order_relaxed) + amount, std::memory_order_relaxed);
+  }
+  // Rare counters with no exclusive context (queue accounting, shard
+  // handoffs, truncated events the interest gate drops): one atomic RMW on
+  // the shared block.
+  void BumpShared(uint64_t& counter, uint64_t amount = 1) const {
     std::atomic_ref<uint64_t>(counter).fetch_add(amount, std::memory_order_relaxed);
   }
 
@@ -813,7 +828,8 @@ class Runtime {
   void NoteGatedScan(uint32_t class_id);
 
   RuntimeOptions options_;
-  RuntimeStats stats_;
+  // Counters bumped from threads holding no context (see BumpShared).
+  mutable RuntimeStats shared_stats_;
   // Async ingestion interposition (SetIngestHook): read first in OnEvent.
   std::atomic<IngestHook> ingest_hook_{nullptr};
   std::atomic<void*> ingest_state_{nullptr};
@@ -824,6 +840,11 @@ class Runtime {
   // --- the compiled dispatch plan (rebuilt by CompilePlan()) ---
   std::vector<KeyPlan> function_plan_;  // by (symbol << 1) | is_call
   std::vector<KeyPlan> field_plan_;     // by field symbol (candidates only)
+  // Interest table (see Observes()): one byte per (symbol, event kind),
+  // indexed symbol * 3 + kind for calls, returns and field stores.
+  std::vector<uint8_t> interest_;
+  // Bumped by every Register(); contexts compare it to their own.
+  uint64_t plan_generation_ = 0;
   std::vector<Candidate> candidate_pool_;
   std::vector<uint32_t> class_pool_;         // naive-mode start/end class lists
   std::vector<int32_t> closed_bounds_pool_;  // bound slots closed per end key
@@ -852,6 +873,7 @@ class Runtime {
   std::vector<ThreadContext*> live_contexts_;
   uint64_t retired_pool_high_water_ = 0;  // guarded by contexts_lock_
   uint64_t retired_pool_capacity_ = 0;
+  RuntimeStats retired_stats_;  // unregistered contexts' blocks; guarded likewise
 
   // Global-context storage, sharded (shared across threads, each shard
   // spinlock-serialised).
@@ -896,8 +918,6 @@ class Runtime {
   // the runtime it belongs to.
   static thread_local const Runtime* scope_runtime_;
   static thread_local const DispatchScope* active_scope_;
-  // The innermost open stats batch on this thread (see StatsBatch).
-  static thread_local StatsFrame* stats_frame_;
   // The timestamp of the event currently being dispatched on this thread
   // (set by DispatchEvent/DispatchBatchPlain when any_timed_; the timed
   // hooks read it instead of re-deriving the clock per class).
