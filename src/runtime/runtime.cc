@@ -135,7 +135,7 @@ thread_local uint64_t Runtime::engaged_shards_ = 0;
 thread_local const Runtime* Runtime::scope_runtime_ = nullptr;
 thread_local const DispatchScope* Runtime::active_scope_ = nullptr;
 thread_local uint64_t Runtime::current_event_ts_ = 0;
-const Runtime::BindingSet Runtime::kNoBindings{};
+const BindingSet Runtime::kNoBindings{};
 
 // The intruder side of the shard-ownership protocol (see GlobalShard in
 // runtime.h for the full memory-ordering argument). The first owner_active
@@ -276,6 +276,7 @@ void Runtime::CompilePlan() {
   field_plan_.assign(symbols, KeyPlan{});
   interest_.assign(symbols * 3, 0);
   candidate_pool_.clear();
+  match_pool_.clear();
   class_pool_.clear();
   closed_bounds_pool_.clear();
   bound_slot_count_ = 0;
@@ -406,13 +407,15 @@ void Runtime::CompilePlan() {
       const automata::EventPattern& pattern = cls.automaton.alphabet[symbol];
       switch (pattern.kind) {
         case automata::PatternKind::kFunctionCall:
-          call_cands[pattern.function].push_back({cls.id, symbol});
+          call_cands[pattern.function].push_back(
+              {cls.id, symbol, LowerFunctionPattern(pattern, match_pool_)});
           break;
         case automata::PatternKind::kFunctionReturn:
-          return_cands[pattern.function].push_back({cls.id, symbol});
+          return_cands[pattern.function].push_back(
+              {cls.id, symbol, LowerFunctionPattern(pattern, match_pool_)});
           break;
         case automata::PatternKind::kFieldAssign:
-          field_cands[pattern.field].push_back({cls.id, symbol});
+          field_cands[pattern.field].push_back({cls.id, symbol, {}});
           break;
         case automata::PatternKind::kInCallStack: {
           KeyPlan& call_plan = function_plan_[CallKey(pattern.function)];
@@ -1223,17 +1226,15 @@ void Runtime::ProcessFunctionEvent(ThreadContext& ctx, const Event& event) {
     HandleBoundStart(ctx, plan);
   }
 
-  // 2. Body events.
+  // 2. Body events, matched by each candidate's compiled op list.
   for (uint32_t i = 0; i < plan.cand_count; i++) {
     const Candidate& candidate = candidate_pool_[plan.cand_first + i];
     if (!ClassInScope(classes_[candidate.class_id])) {
       continue;  // another stage of this record dispatches it
     }
-    const automata::EventPattern& pattern =
-        classes_[candidate.class_id].automaton.alphabet[candidate.symbol];
     BindingSet bindings;
-    if (MatchFunctionPattern(pattern, event.args(), is_return, event.return_value,
-                             &bindings)) {
+    if (MatchFunction(candidate.match, match_pool_.data(), event.args(), is_return,
+                      event.return_value, options_.memory_reader, bindings)) {
       HandleEvent(ctx, candidate, bindings);
     }
   }
@@ -1266,13 +1267,15 @@ void Runtime::ProcessFieldEvent(ThreadContext& ctx, const Event& event) {
     bool matched = false;
     switch (pattern.assign_op) {
       case ast::AssignOp::kAssign:
-        matched = MatchArg(pattern.assign_value, new_value, &bindings);
+        matched = MatchArg(pattern.assign_value, new_value, options_.memory_reader, bindings);
         break;
       case ast::AssignOp::kPlusEqual:
-        matched = MatchArg(pattern.assign_value, new_value - old_value, &bindings);
+        matched = MatchArg(pattern.assign_value, new_value - old_value, options_.memory_reader,
+                           bindings);
         break;
       case ast::AssignOp::kMinusEqual:
-        matched = MatchArg(pattern.assign_value, old_value - new_value, &bindings);
+        matched = MatchArg(pattern.assign_value, old_value - new_value, options_.memory_reader,
+                           bindings);
         break;
       case ast::AssignOp::kIncrement:
         matched = new_value == old_value + 1;
@@ -1476,10 +1479,7 @@ void Runtime::ActivateClass(ThreadContext& ctx, uint32_t class_id) {
     storage.store_.Free(slot);
   }
   state.instances.clear();
-  state.index.Clear();
-  state.unkeyed.clear();
-  state.index2.Clear();
-  state.tail2.clear();
+  state.DropIndex();
 
   uint32_t wildcard = storage.store_.Allocate();
   if (wildcard == kNoSlot) {
@@ -1490,8 +1490,7 @@ void Runtime::ActivateClass(ThreadContext& ctx, uint32_t class_id) {
   }
   storage.store_.states(wildcard) = cls.initial_states;
   storage.store_.dfa_state(wildcard) = cls.initial_dfa_state;
-  state.instances.push_back(wildcard);
-  IndexInstance(storage, cls, state, wildcard);
+  state.instances.push_back(wildcard);  // unfiled: the index is built at the gate
   state.active = true;
   Bump(storage.stats_.instances_created);
   Bump(storage.stats_.transitions);  // the «init» transition itself
@@ -1537,31 +1536,48 @@ void Runtime::CleanupClass(ThreadContext& ctx, uint32_t class_id) {
     // anything strictly past before the cleanup sweep settles the clauses.
     TimedTick(storage, current_event_ts_);
   }
-  ClassInfo info{class_id, &cls.automaton};
   const uint16_t cleanup_symbol = cls.automaton.cleanup_symbol;
-  for (uint32_t slot : state.instances) {
-    if (StepSlot(cls, storage, slot, std::span<const uint16_t>(&cleanup_symbol, 1))) {
-      Bump(storage.stats_.accepts);
-      BumpClass(storage, class_id, metrics::ClassCounter::accepts);
-      if (!handlers_.empty()) {
-        const Instance view = storage.store_.Materialize(slot);
-        for (EventHandler* handler : handlers_) {
-          handler->OnAccept(info, view);
-        }
-      }
-    } else {
-      ReportViolation(storage, class_id, ViolationKind::kBadCleanup,
-                      "instance " + storage.store_.Materialize(slot).Name(cls.automaton) +
-                          " had not completed when the bound closed",
-                      storage.store_.states(slot));
+  const std::span<const uint16_t> symbols(&cleanup_symbol, 1);
+  InstanceHot* hot = storage.store_.hot_data();
+  bool batch = handlers_.empty();
+  for (size_t i = 0; batch && i < state.instances.size(); i++) {
+    batch = cls.step.CanStep(hot[state.instances[i]], cleanup_symbol);
+  }
+  if (batch) {
+    // Every instance accepts and nobody observes the individual steps: one
+    // batch kernel call, then the same frees in the same order as the walk.
+    const uint32_t stepped = cls.step.RunBatch(collector_.get(), hot, state.instances.data(),
+                                               state.instances.size(), symbols);
+    Bump(storage.stats_.transitions, stepped);
+    Bump(storage.stats_.accepts, stepped);
+    BumpClass(storage, class_id, metrics::ClassCounter::transitions, stepped);
+    BumpClass(storage, class_id, metrics::ClassCounter::accepts, stepped);
+    for (uint32_t slot : state.instances) {
+      storage.store_.Free(slot);
     }
-    storage.store_.Free(slot);
+  } else {
+    ClassInfo info{class_id, &cls.automaton};
+    for (uint32_t slot : state.instances) {
+      if (StepSlot(cls, storage, slot, symbols)) {
+        Bump(storage.stats_.accepts);
+        BumpClass(storage, class_id, metrics::ClassCounter::accepts);
+        if (!handlers_.empty()) {
+          const Instance view = storage.store_.Materialize(slot);
+          for (EventHandler* handler : handlers_) {
+            handler->OnAccept(info, view);
+          }
+        }
+      } else {
+        ReportViolation(storage, class_id, ViolationKind::kBadCleanup,
+                        "instance " + storage.store_.Materialize(slot).Name(cls.automaton) +
+                            " had not completed when the bound closed",
+                        storage.store_.states(slot));
+      }
+      storage.store_.Free(slot);
+    }
   }
   state.instances.clear();
-  state.index.Clear();
-  state.unkeyed.clear();
-  state.index2.Clear();
-  state.tail2.clear();
+  state.DropIndex();
   state.active = false;
   if (cls.timed) [[unlikely]] {
     // The bound closed: every clause is settled. Armed deadlines cancel
@@ -1936,14 +1952,20 @@ bool Runtime::DispatchToInstances(ThreadContext& storage, const CompiledClass& c
     if (state.instances.size() < cls.min_population) {
       // Below the crossover population, hashing the key tuple costs more
       // than walking the handful of live instances (BENCH_instances.json);
-      // fall through to the scan. The index stays coherent — IndexInstance
-      // still files every clone — so the probe path is valid again the
-      // moment the population grows past the threshold. Per-class since
-      // plan hints can override the knob (min_population=0 probes always).
+      // fall through to the scan. Nothing is filed yet: the first dispatch
+      // at the threshold builds the index. Per-class since plan hints can
+      // override the knob (min_population=0 builds at the first dispatch).
       Bump(storage.stats_.index_scans);
       BumpClass(storage, class_id, metrics::ClassCounter::index_scans);
       route = profile::Cell::small_population;
     } else {
+      if (!state.indexed) [[unlikely]] {
+        // The population just reached the gate: file it, in creation order.
+        state.indexed = true;
+        for (uint32_t slot : state.instances) {
+          IndexInstance(storage, cls, state, slot);
+        }
+      }
       const uint32_t bound = BindingsVarMask(bindings.entries, bindings.count);
       if (bound == cls.key_mask) {
         Bump(storage.stats_.index_probes);
@@ -2178,8 +2200,8 @@ bool Runtime::DispatchScan(ThreadContext& storage, const CompiledClass& cls, Cla
 
 void Runtime::IndexInstance(ThreadContext& storage, const CompiledClass& cls,
                             ClassState& state, uint32_t slot) {
-  if (!options_.instance_index || cls.key_mask == 0) {
-    return;  // classes without key variables use the flat list only
+  if (!state.indexed) {
+    return;  // below the gate, or a class without key variables: flat list only
   }
   if ((storage.store_.bound_mask(slot) & cls.key_mask) != cls.key_mask) {
     state.unkeyed.push_back(slot);  // wildcard / partially bound: linear tail
@@ -2346,59 +2368,6 @@ bool Runtime::StepInstance(const CompiledClass& cls, ThreadContext& storage,
     }
   }
   return true;
-}
-
-// --- matching ---
-
-bool Runtime::MatchFunctionPattern(const automata::EventPattern& pattern,
-                                   std::span<const int64_t> args, bool have_return,
-                                   int64_t return_value, BindingSet* bindings) const {
-  if (pattern.args_specified) {
-    if (pattern.args.size() > args.size()) {
-      return false;
-    }
-    for (size_t i = 0; i < pattern.args.size(); i++) {
-      if (!MatchArg(pattern.args[i], args[i], bindings)) {
-        return false;
-      }
-    }
-  }
-  if (pattern.match_return) {
-    if (!have_return) {
-      return false;
-    }
-    if (!MatchArg(pattern.return_match, return_value, bindings)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool Runtime::MatchArg(const automata::ArgMatch& match, int64_t value,
-                       BindingSet* bindings) const {
-  switch (match.kind) {
-    case automata::ArgMatchKind::kAny:
-      return true;
-    case automata::ArgMatchKind::kLiteral:
-      return value == match.literal;
-    case automata::ArgMatchKind::kFlags:
-      return (static_cast<uint64_t>(value) & match.mask) == match.mask;
-    case automata::ArgMatchKind::kBitmask:
-      return (static_cast<uint64_t>(value) & ~match.mask) == 0;
-    case automata::ArgMatchKind::kVariable:
-      return bindings->count < kMaxVariables && bindings->Add(match.var, value);
-    case automata::ArgMatchKind::kIndirect: {
-      if (!options_.memory_reader) {
-        return false;
-      }
-      int64_t pointee = 0;
-      if (!options_.memory_reader(value, &pointee)) {
-        return false;
-      }
-      return bindings->count < kMaxVariables && bindings->Add(match.var, pointee);
-    }
-  }
-  return false;
 }
 
 void Runtime::ReportViolation(ThreadContext& owner, uint32_t class_id, ViolationKind kind,

@@ -12,7 +12,8 @@
 // start/end handling, tracked-call-stack slots. Symbols are dense interner
 // indices (the interner is frozen at Register() time), so the hot path
 // performs zero hash lookups: every event costs one or two vector indexings
-// plus the per-candidate pattern matches.
+// plus the per-candidate matches, each a walk of a flat op list compiled
+// from the candidate's pattern (runtime/match.h).
 //
 // Event serialisation contexts (§3.2):
 //   * per-thread automata store instances in a ThreadContext, one per
@@ -40,6 +41,8 @@
 // assertion-site event must be consumable by some matching instance or a
 // violation is reported; «cleanup» on the bound's end event checks automata
 // that passed their site, reports acceptance, and expunges all instances.
+// A population whose every instance accepts, with no handler registered, is
+// stepped and expunged in one batch kernel call (see CleanupClass).
 #ifndef TESLA_RUNTIME_RUNTIME_H_
 #define TESLA_RUNTIME_RUNTIME_H_
 
@@ -62,6 +65,7 @@
 #include "runtime/handler.h"
 #include "runtime/instance.h"
 #include "runtime/instance_store.h"
+#include "runtime/match.h"
 #include "runtime/options.h"
 #include "runtime/step.h"
 #include "support/pool.h"
@@ -111,8 +115,13 @@ struct TimedCell {
 // keyed buckets (all key variables bound; chained through the store's
 // next() links) and the short unkeyed tail (the (∗) wildcard and partial
 // bindings — the only possible clone parents on the indexed fast path).
+//
+// Nothing is filed below the class's probe gate (CompiledClass::
+// min_population), where every dispatch scans: the first dispatch at the
+// gate files every live slot in `instances` order and sets `indexed`.
 struct ClassState {
   bool active = false;
+  bool indexed = false;
   uint64_t epoch = 0;  // bound epoch at activation (lazy-init bookkeeping)
   std::vector<uint32_t> instances;
   KeyIndex index;
@@ -127,6 +136,18 @@ struct ClassState {
   // Timed-clause cells, one per entry of the class automaton's `timed` list
   // (lazily sized on first observation; empty for untimed classes).
   std::vector<TimedCell> timed;
+
+  // Empties both index partitions (a no-op while nothing is filed).
+  void DropIndex() {
+    if (!indexed) {
+      return;
+    }
+    index.Clear();
+    unkeyed.clear();
+    index2.Clear();
+    tail2.clear();
+    indexed = false;
+  }
 };
 
 // Lazy-init bookkeeping for one temporal bound (paper §5.2.2's optimisation:
@@ -470,9 +491,12 @@ class Runtime {
     StepProgram step;
   };
 
+  // One body-event candidate; function candidates carry their compiled
+  // matcher (ops in match_pool_), field candidates match their pattern.
   struct Candidate {
     uint32_t class_id = 0;
     uint16_t symbol = 0;
+    CompiledMatch match;
   };
 
   // Compiled routing for one (symbol, call/return) key — or, in field_plan_,
@@ -539,22 +563,6 @@ class Runtime {
     std::unique_ptr<ThreadContext> context;
   };
 
-  // An event's variable bindings: a fixed-size buffer, one slot per variable.
-  struct BindingSet {
-    Binding entries[kMaxVariables];
-    size_t count = 0;
-
-    // Returns false if `var` is already present with a different value.
-    bool Add(uint16_t var, int64_t value) {
-      for (size_t i = 0; i < count; i++) {
-        if (entries[i].var == var) {
-          return entries[i].value == value;
-        }
-      }
-      entries[count++] = Binding{var, value};
-      return true;
-    }
-  };
   // The bindings of an unbound event (DispatchUnbound's profile view).
   static const BindingSet kNoBindings;
 
@@ -709,6 +717,7 @@ class Runtime {
 
   // Files a freshly created slot under the class's index partition (keyed
   // bucket or unkeyed tail). `instances` membership is the caller's job.
+  // Files nothing while the class's index is not built (state.indexed).
   void IndexInstance(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
                      uint32_t slot);
   // Files a slot under the class's secondary prefix-index partition (prefix
@@ -730,11 +739,6 @@ class Runtime {
                 uint16_t* symbol_out) {
     return cls.step.Run(collector_.get(), states, dfa_state, symbols, from_out, symbol_out);
   }
-
-  bool MatchFunctionPattern(const automata::EventPattern& pattern,
-                            std::span<const int64_t> args, bool have_return,
-                            int64_t return_value, BindingSet* bindings) const;
-  bool MatchArg(const automata::ArgMatch& match, int64_t value, BindingSet* bindings) const;
 
   // `owner`: the context whose stats block counts the violation (the one
   // the caller holds). `highlight`: the automaton states live at the
@@ -846,6 +850,7 @@ class Runtime {
   // Bumped by every Register(); contexts compare it to their own.
   uint64_t plan_generation_ = 0;
   std::vector<Candidate> candidate_pool_;
+  std::vector<MatchOp> match_pool_;  // function candidates' compiled matchers
   std::vector<uint32_t> class_pool_;         // naive-mode start/end class lists
   std::vector<int32_t> closed_bounds_pool_;  // bound slots closed per end key
   // Shard masks, by slot: which shards host global classes sharing the slot.

@@ -160,6 +160,14 @@ struct StepProgram {
               symbol_out);
   }
 
+  // Whether Run() would step `hot` on `symbol`, without stepping it: the NFA
+  // set meets the symbol's source mask. Exact for DFA-stepping programs too:
+  // there `states` is always the NFA set of `dfa_state`, and the subset
+  // construction has a transition exactly where that set can step.
+  bool CanStep(const InstanceHot& hot, uint16_t symbol) const {
+    return (hot.states & nfa_sources[symbol]) != 0;
+  }
+
   // Steps every slot in `slots` (the pass-1 walk of an unbound event), and
   // returns how many stepped. Semantically identical to calling Run() per
   // slot and discarding the out-params.

@@ -87,15 +87,19 @@ class FixedPool {
 // client keep the per-object fields in structure-of-arrays form (parallel
 // vectors indexed by slot) so that hot loops touch only the arrays they need.
 // Same contract as FixedPool: no heap traffic after construction, exhaustion
-// is counted (kNoSlot) rather than fatal.
+// is counted (kNoSlot) rather than fatal. The free list is a preallocated
+// stack of `capacity` slot ids, so Allocate and Free are a load or store
+// and a count update — no vector growth check on the hot path.
 class SlotPool {
  public:
   static constexpr uint32_t kNoSlot = 0xffffffffu;
 
-  explicit SlotPool(size_t capacity) : capacity_(capacity) {
-    free_list_.reserve(capacity);
+  explicit SlotPool(size_t capacity)
+      : capacity_(capacity),
+        free_(std::make_unique<uint32_t[]>(capacity)),
+        free_count_(capacity) {
     for (size_t i = 0; i < capacity; i++) {
-      free_list_.push_back(static_cast<uint32_t>(capacity - 1 - i));
+      free_[i] = static_cast<uint32_t>(capacity - 1 - i);
     }
   }
 
@@ -104,21 +108,20 @@ class SlotPool {
 
   // Returns kNoSlot (and bumps the overflow counter) when the pool is full.
   uint32_t Allocate() {
-    if (free_list_.empty()) {
+    if (free_count_ == 0) {
       overflows_++;
       return kNoSlot;
     }
-    uint32_t slot = free_list_.back();
-    free_list_.pop_back();
+    const uint32_t slot = free_[--free_count_];
     live_++;
     high_water_ = live_ > high_water_ ? live_ : high_water_;
     return slot;
   }
 
   void Free(uint32_t slot) {
-    assert(slot < capacity_);
+    assert(slot < capacity_ && free_count_ < capacity_);
     live_--;
-    free_list_.push_back(slot);
+    free_[free_count_++] = slot;
   }
 
   size_t capacity() const { return capacity_; }
@@ -132,7 +135,8 @@ class SlotPool {
 
  private:
   const size_t capacity_;
-  std::vector<uint32_t> free_list_;
+  std::unique_ptr<uint32_t[]> free_;  // free slot ids; the top is free_[free_count_ - 1]
+  size_t free_count_;
   size_t live_ = 0;
   size_t high_water_ = 0;
   uint64_t overflows_ = 0;

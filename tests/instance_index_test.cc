@@ -397,5 +397,224 @@ TEST(InstanceIndex, ManyDistinctKeysStayIndependent) {
   s.rt.OnFunctionReturn(*s.ctx, S("syscall"), {}, 0);
 }
 
+// ---------------------------------------------------------------------------
+// Building the index at the crossover.
+//
+// A keyed class files nothing into its index while its population is below
+// the index_min_population gate; the first dispatch at the gate files every
+// live instance in creation order, and cleanup drops the index so a
+// re-opened bound rebuilds it from scratch. The schedules above run again
+// at several gates, each against the index-off reference, comparing every
+// replay-compared RuntimeStats field and the violation sequence after every
+// event.
+
+constexpr size_t kGates[] = {0, 1, 3, 8};
+
+// Every replay-compared field except the two route counters (the index-off
+// reference counts neither).
+void CheckReplayFields(const RuntimeStats& got, const RuntimeStats& ref, const std::string& where) {
+#define TESLA_GATE_CHECK(name, desc, replay)                                  \
+  if ((replay) && std::string(#name) != "index_probes" &&                     \
+      std::string(#name) != "index_scans") {                                  \
+    ASSERT_EQ(got.name, ref.name) << where << " " #name;                      \
+  }
+  TESLA_RUNTIME_STATS(TESLA_GATE_CHECK)
+#undef TESLA_GATE_CHECK
+}
+
+// One pseudo-random event for both sides of a pair (the schedule reads the
+// round's random word).
+using Schedule = void (*)(Side& side, uint64_t rng);
+
+// Runs `schedule` at every gate, appending each gate's final stats to
+// `finals`.
+void RunAtEveryGate(const std::string& source, RuntimeOptions options, Schedule schedule,
+                    uint64_t seed, int rounds, std::vector<RuntimeStats>& finals) {
+  for (size_t gate : kGates) {
+    options.index_min_population = gate;
+    Pair p(source, options);
+    uint64_t rng = seed;
+    for (int round = 0; round < rounds; round++) {
+      rng = rng * 6364136223846793005ull + 1;
+      schedule(p.indexed, rng);
+      schedule(p.naive, rng);
+      const std::string where = "gate " + std::to_string(gate) + " round " + std::to_string(round);
+      CheckReplayFields(p.indexed.rt.stats(), p.naive.rt.stats(), where);
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
+      const std::vector<Violation>& va = p.indexed.handler.violations();
+      const std::vector<Violation>& vb = p.naive.handler.violations();
+      ASSERT_EQ(va.size(), vb.size()) << where;
+      for (size_t i = 0; i < va.size(); i++) {
+        ASSERT_EQ(va[i].kind, vb[i].kind) << where << " violation " << i;
+        ASSERT_EQ(va[i].detail, vb[i].detail) << where << " violation " << i;
+      }
+    }
+    finals.push_back(p.indexed.rt.stats());
+  }
+}
+
+// Route counts across gates: every keyed dispatch counts exactly one probe
+// or scan whatever the gate, and a lower gate never probes less.
+void ExpectRoutesConsistent(const std::vector<RuntimeStats>& finals) {
+  ASSERT_EQ(finals.size(), std::size(kGates));
+  for (size_t g = 0; g < finals.size(); g++) {
+    EXPECT_EQ(finals[g].index_probes + finals[g].index_scans,
+              finals[0].index_probes + finals[0].index_scans)
+        << "gate " << kGates[g];
+    if (g > 0) {
+      EXPECT_LE(finals[g].index_probes, finals[g - 1].index_probes) << "gate " << kGates[g];
+    }
+  }
+  EXPECT_GT(finals[0].index_probes, 0u);
+}
+
+void OneVariableEvent(Side& s, uint64_t rng) {
+  const int64_t value = static_cast<int64_t>((rng >> 40) % 5);
+  int64_t args[] = {value};
+  Binding site[] = {{0, value}};
+  switch ((rng >> 33) % 4) {
+    case 0:
+      s.rt.OnFunctionCall(*s.ctx, S("syscall"), {});
+      break;
+    case 1:
+      s.rt.OnFunctionReturn(*s.ctx, S("check"), args, 0);
+      break;
+    case 2:
+      s.rt.OnAssertionSite(*s.ctx, s.id, site);
+      break;
+    default:
+      s.rt.OnFunctionReturn(*s.ctx, S("syscall"), {}, 0);
+      break;
+  }
+}
+
+void TwoVariableEvent(Side& s, uint64_t rng) {
+  const int64_t x = static_cast<int64_t>((rng >> 40) % 4);
+  const int64_t y = static_cast<int64_t>((rng >> 45) % 4);
+  int64_t args[] = {x, y};
+  Binding full[] = {{0, x}, {1, y}};
+  Binding partial[] = {{0, x}};
+  // Long, clone-heavy bounds (one enter and one exit in 32 events, pair()
+  // in half), so populations pass gate 8.
+  const uint64_t roll = (rng >> 33) % 32;
+  if (roll == 0) {
+    s.rt.OnFunctionCall(*s.ctx, S("syscall"), {});
+  } else if (roll == 1) {
+    s.rt.OnFunctionReturn(*s.ctx, S("syscall"), {}, 0);
+  } else if (roll < 18) {
+    s.rt.OnFunctionReturn(*s.ctx, S("pair"), args, 0);
+  } else if (roll < 25) {
+    s.rt.OnAssertionSite(*s.ctx, s.id, full);
+  } else {
+    s.rt.OnAssertionSite(*s.ctx, s.id, partial);
+  }
+}
+
+void DfaEvent(Side& s, uint64_t rng) {
+  const int64_t value = static_cast<int64_t>((rng >> 40) % 4);
+  int64_t args[] = {value};
+  Binding site[] = {{0, value}};
+  switch ((rng >> 33) % 5) {
+    case 0:
+      s.rt.OnFunctionCall(*s.ctx, S("syscall"), {});
+      break;
+    case 1:
+      s.rt.OnFunctionReturn(*s.ctx, S("ca"), args, 0);
+      break;
+    case 2:
+      s.rt.OnFunctionReturn(*s.ctx, S("cb"), args, 0);
+      break;
+    case 3:
+      s.rt.OnAssertionSite(*s.ctx, s.id, site);
+      break;
+    default:
+      s.rt.OnFunctionReturn(*s.ctx, S("syscall"), {}, 0);
+      break;
+  }
+}
+
+TEST(IndexGate, OneVariableAgreesAtEveryGate) {
+  std::vector<RuntimeStats> finals;
+  RunAtEveryGate("TESLA_WITHIN(syscall, previously(check(x) == 0))", TestOptions(),
+                 OneVariableEvent, 7, 400, finals);
+  ExpectRoutesConsistent(finals);
+}
+
+TEST(IndexGate, TwoVariablePartialBindingsAgreeAtEveryGate) {
+  std::vector<RuntimeStats> finals;
+  RunAtEveryGate("TESLA_WITHIN(syscall, previously(pair(x, y) == 0))", TestOptions(),
+                 TwoVariableEvent, 12345, 600, finals);
+  ExpectRoutesConsistent(finals);
+  EXPECT_GT(finals.back().index_probes, 0u);  // populations pass the largest gate
+}
+
+TEST(IndexGate, PrefixHintedClassAgreesAtEveryGate) {
+  // The hint names the prefix variable (x, key position 0) and keeps the
+  // global gate: the prefix index is built with the primary one.
+  RuntimeOptions options = TestOptions();
+  options.plan_hints.classes.push_back({"diff", 0, -1, 0});
+  std::vector<RuntimeStats> finals;
+  RunAtEveryGate("TESLA_WITHIN(syscall, previously(pair(x, y) == 0))", options,
+                 TwoVariableEvent, 999, 600, finals);
+  ExpectRoutesConsistent(finals);
+  EXPECT_GT(finals.back().index_probes, 0u);
+}
+
+TEST(IndexGate, GlobalAutomatonAgreesAtEveryGate) {
+  std::vector<RuntimeStats> finals;
+  RunAtEveryGate("TESLA_GLOBAL(call(syscall), returnfrom(syscall), previously(check(x) == 0))",
+                 TestOptions(), OneVariableEvent, 4242, 300, finals);
+  ExpectRoutesConsistent(finals);
+}
+
+TEST(IndexGate, DfaModeAgreesAtEveryGate) {
+  RuntimeOptions options = TestOptions();
+  options.use_dfa = true;
+  std::vector<RuntimeStats> finals;
+  RunAtEveryGate("TESLA_WITHIN(syscall, previously(ca(x) == 0 || cb(x) == 0))", options,
+                 DfaEvent, 555, 300, finals);
+  ExpectRoutesConsistent(finals);
+}
+
+TEST(IndexGate, ReopenedBoundRebuildsTheIndex) {
+  // Gate 3: the first bound grows past it and probes; after cleanup the
+  // re-opened bound must not see the first bound's keys — its index is
+  // rebuilt from its own population when that reaches the gate again.
+  RuntimeOptions options = TestOptions();
+  options.index_min_population = 3;
+  Side s("TESLA_WITHIN(syscall, previously(check(x) == 0))", options);
+  auto check = [&](int64_t v) {
+    int64_t args[] = {v};
+    s.rt.OnFunctionReturn(*s.ctx, S("check"), args, 0);
+  };
+  auto site = [&](int64_t v) {
+    Binding bindings[] = {{0, v}};
+    s.rt.OnAssertionSite(*s.ctx, s.id, bindings);
+  };
+
+  s.rt.OnFunctionCall(*s.ctx, S("syscall"), {});
+  for (int64_t v = 1; v <= 4; v++) {
+    check(v);
+  }
+  const uint64_t probes = s.rt.stats().index_probes;
+  site(4);
+  EXPECT_EQ(s.rt.stats().index_probes, probes + 1);
+  s.rt.OnFunctionReturn(*s.ctx, S("syscall"), {}, 0);
+  ASSERT_EQ(s.rt.stats().violations, 0u);
+
+  s.rt.OnFunctionCall(*s.ctx, S("syscall"), {});
+  check(9);  // population 2: below the gate, scanned, nothing filed
+  check(8);  // population 3 at dispatch: the index is built here
+  site(8);
+  EXPECT_EQ(s.rt.stats().violations, 0u);
+  site(4);  // bound only in the previous bound: must fail
+  EXPECT_EQ(s.rt.stats().violations, 1u);
+  site(9);  // filed by the rebuild, not by its own (below-gate) clone
+  EXPECT_EQ(s.rt.stats().violations, 1u);
+  s.rt.OnFunctionReturn(*s.ctx, S("syscall"), {}, 0);
+}
+
 }  // namespace
 }  // namespace tesla
