@@ -1,11 +1,11 @@
-// Stepping-tier cost isolation: interpreted vs threaded-bytecode vs
+// Stepping-tier cost isolation: the interpreted reference vs the
 // shape-specialised step kernels (RuntimeOptions::step_tier, runtime/step.h).
 //
 // Two workloads, each a steady-state stream of assertion-site events batched
 // through OnEvents():
 //   * dfa — a DFA-trackable class (previously(check(x) == 0)): the
 //     specialised tier steps by one packed-row table lookup;
-//   * nfa — an incallstack() class: every tier runs exact NFA union
+//   * nfa — an incallstack() class: both tiers run exact NFA union
 //     semantics (mask-and-union tables in the specialised tier).
 //
 // Each site event carries no bindings, so it exact-matches every live
@@ -54,9 +54,9 @@ struct TierCase {
 
 constexpr TierCase kTiers[] = {
     {StepTier::kInterpreted, "interpreted"},
-    {StepTier::kThreaded, "threaded"},
     {StepTier::kSpecialised, "specialised"},
 };
+constexpr size_t kTierCount = sizeof(kTiers) / sizeof(kTiers[0]);
 
 std::unique_ptr<runtime::Runtime> MakeRuntime(const char* source, StepTier tier) {
   runtime::RuntimeOptions options;
@@ -152,12 +152,12 @@ int main() {
   }
 
   bool ok = true;
-  double dfa_by_tier[3] = {0, 0, 0};
+  double dfa_by_tier[kTierCount] = {};
   for (const auto& workload : workloads) {
     std::printf("\n--- %s ---\n", workload.label);
     std::printf("%-14s %16s %10s\n", "tier", "ns/event", "vs interp");
     double interp = 0;
-    for (size_t t = 0; t < 3; t++) {
+    for (size_t t = 0; t < kTierCount; t++) {
       double ns = MeasureSteps(workload.source, kTiers[t].tier, workload.in_helper, min_seconds);
       if (ns < 0) {
         ok = false;
@@ -176,25 +176,25 @@ int main() {
   }
 
   // The CI gate's aliases: the DFA workload is the dispatch-rate headline.
-  if (dfa_by_tier[0] > 0 && dfa_by_tier[2] > 0) {
+  if (dfa_by_tier[0] > 0 && dfa_by_tier[1] > 0) {
     report.Add("step.interpreted.ns_per_event", dfa_by_tier[0], "ns/event");
-    report.Add("step.specialised.ns_per_event", dfa_by_tier[2], "ns/event");
+    report.Add("step.specialised.ns_per_event", dfa_by_tier[1], "ns/event");
     std::printf("\nspecialised dispatch: %.1f ns/event (%.2fx over interpreted)\n",
-                dfa_by_tier[2], dfa_by_tier[2] > 0 ? dfa_by_tier[0] / dfa_by_tier[2] : 0.0);
+                dfa_by_tier[1], dfa_by_tier[1] > 0 ? dfa_by_tier[0] / dfa_by_tier[1] : 0.0);
   }
 
   // The stepping-tier contract, also gated in CI: specialised dispatch under
   // 30 ns/event AND at least 2x over the interpreted tier on the same
   // workload. A steady-state claim — smoke mode's tiny timing windows still
   // print the table but only the full run gates on it.
-  if (!smoke && dfa_by_tier[0] > 0 && dfa_by_tier[2] > 0) {
-    if (dfa_by_tier[2] >= 30.0) {
-      std::fprintf(stderr, "FAIL: specialised dispatch %.1f ns/event >= 30\n", dfa_by_tier[2]);
+  if (!smoke && dfa_by_tier[0] > 0 && dfa_by_tier[1] > 0) {
+    if (dfa_by_tier[1] >= 30.0) {
+      std::fprintf(stderr, "FAIL: specialised dispatch %.1f ns/event >= 30\n", dfa_by_tier[1]);
       ok = false;
     }
-    if (dfa_by_tier[0] < 2.0 * dfa_by_tier[2]) {
+    if (dfa_by_tier[0] < 2.0 * dfa_by_tier[1]) {
       std::fprintf(stderr, "FAIL: specialised only %.2fx over interpreted (< 2x)\n",
-                   dfa_by_tier[0] / dfa_by_tier[2]);
+                   dfa_by_tier[0] / dfa_by_tier[1]);
       ok = false;
     }
   }

@@ -115,7 +115,10 @@ Result<PlanHints> ParseHints(const std::string& text) {
                     &capacity, &min_population, &prefix) != 3) {
       return Error{"plan hints: malformed fields after class name", lineno, 1};
     }
-    if (capacity < 0 || capacity > (1 << 20) ||
+    // -1 is each field's "no hint"; anything the int32_t fields cannot hold
+    // is rejected rather than wrapped into a different (valid) hint.
+    if (capacity < 0 || capacity > (1 << 20) || min_population < -1 ||
+        min_population > INT32_MAX || prefix < -1 ||
         prefix >= static_cast<long>(kMaxKeyVars)) {
       return Error{"plan hints: field out of range", lineno, 1};
     }

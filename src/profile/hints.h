@@ -63,7 +63,9 @@ PlanHints HintsFromSnapshot(const Snapshot& snapshot);
 
 // Text round-trip. Format, one class per line (# comments, blank lines ok):
 //   class <name-length>:<name> capacity=<n> min_population=<n> prefix_key_pos=<n>
-// The length prefix keeps names with spaces unambiguous.
+// The length prefix keeps names with spaces unambiguous. A field outside
+// its range (capacity beyond 2^20, min_population outside [-1, INT32_MAX],
+// prefix_key_pos outside [-1, kMaxKeyVars)) fails the parse.
 std::string HintsToText(const PlanHints& hints);
 Result<PlanHints> ParseHints(const std::string& text);
 

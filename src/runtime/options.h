@@ -20,19 +20,15 @@ namespace tesla::runtime {
 using MemoryReader = std::function<bool(int64_t address, int64_t* value)>;
 
 // How a registered class's step function executes (see runtime/step.h and
-// DESIGN.md "Stepping tiers"). Every tier is semantically identical —
+// DESIGN.md "Stepping tiers"). Both tiers are semantically identical —
 // verdicts, RuntimeStats and coverage bitmaps are bit-for-bit equal; the
 // differential tests enforce it — so the knob is purely a speed/ablation
 // choice.
 enum class StepTier : uint8_t {
   // The reference walk: per-state edge vectors for NFA simulation,
-  // Dfa::Step for the use_dfa ablation. The seed's algorithm.
+  // Dfa::Step for the use_dfa ablation. The seed's algorithm, kept as the
+  // differential reference.
   kInterpreted = 0,
-  // A threaded interpreter over compact per-class bytecode: dead symbols
-  // pruned, single-transition symbols collapsed to one compare, dense rows
-  // inlined as immediates. Computed-goto dispatch where the compiler
-  // supports it.
-  kThreaded = 1,
   // Per-shape specialised kernels picked at Register() time: branchless
   // table lookups for DFA-trackable classes (table-in-registers for small
   // automata), mask-and-union tables for incallstack() classes.
@@ -67,8 +63,8 @@ struct RuntimeOptions {
   // checks the probe decision stays monotone in the population.
   size_t index_min_population = 8;
 
-  // Step-function execution tier (see StepTier). The default is the best
-  // available: per-class specialised kernels, compiled at Register() time.
+  // Step-function execution tier (see StepTier). The default is the
+  // product: per-class specialised kernels, compiled at Register() time.
   StepTier step_tier = StepTier::kSpecialised;
 
   // Instances preallocated per event-serialisation context (§4.4.1:

@@ -1937,6 +1937,73 @@ auto Runtime::Profiled(ThreadContext& storage, const CompiledClass& cls, const C
   return result;
 }
 
+// Clones are appended to `instances` and filed through IndexInstance while
+// `parent_walk` runs, so every parent walk must be unaffected by appends:
+// index chains grow at the head, and the flat lists are walked up to their
+// length on entry.
+template <typename ExactWalk, typename ParentWalk>
+bool Runtime::DispatchTwoPass(ThreadContext& storage, const CompiledClass& cls,
+                              ClassState& state, const BindingSet& bindings,
+                              std::span<const uint16_t> symbols, ExactWalk&& exact_walk,
+                              ParentWalk&& parent_walk) {
+  InstanceStore& store = storage.store_;
+  // Pass 1: instances already bound to exactly these values.
+  bool any_exact = false;
+  bool any_step = false;
+  exact_walk([&](uint32_t slot) {
+    any_exact = true;
+    if (StepSlot(cls, storage, slot, symbols)) {
+      any_step = true;
+    }
+  });
+  if (any_exact) {
+    return any_step;
+  }
+
+  // Pass 2: clone consistent instances, binding the event's new values
+  // (paper §4.4.1 "Clone"). The parent — typically (∗) — is retained.
+  ClassInfo info{cls.id, &cls.automaton};
+  const size_t existing = state.instances.size();
+  parent_walk([&](uint32_t parent) {
+    if (!store.ConsistentWith(parent, bindings.entries, bindings.count)) {
+      return;
+    }
+    Instance candidate = store.Materialize(parent);
+    for (size_t b = 0; b < bindings.count; b++) {
+      candidate.Bind(bindings.entries[b].var, bindings.entries[b].value);
+    }
+    for (size_t j = existing; j < state.instances.size(); j++) {
+      const uint32_t other = state.instances[j];
+      if (store.bound_mask(other) == candidate.bound_mask &&
+          store.values(other) == candidate.values) {
+        return;  // duplicate of a clone created earlier in this event
+      }
+    }
+    if (!StepInstance(cls, storage, candidate, symbols)) {
+      return;  // the clone could not consume the event; discard it
+    }
+    const uint32_t slot = store.Allocate();
+    if (slot == kNoSlot) {
+      Bump(storage.stats_.overflows);
+      ReportViolation(storage, cls.id, ViolationKind::kOverflow, "no space to clone instance");
+      return;
+    }
+    store.Assign(slot, candidate);
+    state.instances.push_back(slot);
+    IndexInstance(storage, cls, state, slot);
+    any_step = true;
+    Bump(storage.stats_.instances_cloned);
+    BumpClass(storage, cls.id, metrics::ClassCounter::instances_cloned);
+    if (!handlers_.empty()) {
+      const Instance parent_view = store.Materialize(parent);
+      for (EventHandler* handler : handlers_) {
+        handler->OnClone(info, parent_view, candidate);
+      }
+    }
+  });
+  return any_step;
+}
+
 bool Runtime::DispatchToInstances(ThreadContext& storage, const CompiledClass& cls,
                                   ClassState& state, const BindingSet& bindings,
                                   std::span<const uint16_t> symbols) {
@@ -1991,13 +2058,102 @@ bool Runtime::DispatchToInstances(ThreadContext& storage, const CompiledClass& c
     }
   }
   return Profiled(storage, cls, state, bindings, route, [&]() {
+    InstanceStore& store = storage.store_;
     if (route == profile::Cell::index_probes) {
-      return DispatchIndexed(storage, cls, state, bindings, symbols);
+      // The event binds exactly the key variables, so pass 1's exact matches
+      // are precisely one index bucket, and when it is empty every possible
+      // clone parent sits in the unkeyed tail (a fully-keyed instance
+      // consistent with the bindings would carry the probed tuple and hence
+      // be in the bucket). Clones bind every key variable, so the tail never
+      // grows while pass 2 walks it. An event touching one socket therefore
+      // steps O(1) instances no matter how many other sockets are live.
+      int64_t key[kMaxVariables];
+      for (uint8_t i = 0; i < cls.key_count; i++) {
+        for (size_t b = 0; b < bindings.count; b++) {
+          if (bindings.entries[b].var == cls.key_vars[i]) {
+            key[i] = bindings.entries[b].value;
+            break;
+          }
+        }
+      }
+      const uint32_t head =
+          state.index.Find(HashKeyTuple(key, cls.key_count), [&](uint32_t slot) {
+            for (uint8_t i = 0; i < cls.key_count; i++) {
+              if (store.values(slot)[cls.key_vars[i]] != key[i]) {
+                return false;
+              }
+            }
+            return true;
+          });
+      return DispatchTwoPass(
+          storage, cls, state, bindings, symbols,
+          [&](auto&& visit) {
+            for (uint32_t slot = head; slot != kNoSlot; slot = store.next(slot)) {
+              visit(slot);
+            }
+          },
+          [&](auto&& visit) {
+            const size_t count = state.unkeyed.size();
+            for (size_t i = 0; i < count; i++) {
+              visit(state.unkeyed[i]);
+            }
+          });
     }
     if (route == profile::Cell::prefix_probes) {
-      return DispatchPrefix(storage, cls, state, bindings, symbols);
+      // The event binds the profile-hinted prefix variable but not the full
+      // key tuple: pass 1's exact matches all carry the prefix binding, so
+      // they sit in the probed prefix bucket; pass 2's clone parents have
+      // the prefix bound to the probed value (the bucket) or unbound
+      // (tail2). Clones bind the prefix, so they land at the bucket's head
+      // (never disturbing the forward walk) and never in tail2.
+      int64_t prefix_value = 0;
+      for (size_t b = 0; b < bindings.count; b++) {
+        if (bindings.entries[b].var == cls.prefix_var) {
+          prefix_value = bindings.entries[b].value;
+          break;
+        }
+      }
+      const uint32_t head =
+          state.index2.Find(HashKeyTuple(&prefix_value, 1), [&](uint32_t slot) {
+            return store.values(slot)[cls.prefix_var] == prefix_value;
+          });
+      return DispatchTwoPass(
+          storage, cls, state, bindings, symbols,
+          [&](auto&& visit) {
+            for (uint32_t slot = head; slot != kNoSlot; slot = store.next2(slot)) {
+              if (store.ExactMatch(slot, bindings.entries, bindings.count)) {
+                visit(slot);
+              }
+            }
+          },
+          [&](auto&& visit) {
+            for (uint32_t slot = head; slot != kNoSlot; slot = store.next2(slot)) {
+              visit(slot);
+            }
+            const size_t count = state.tail2.size();
+            for (size_t i = 0; i < count; i++) {
+              visit(state.tail2[i]);
+            }
+          });
     }
-    return DispatchScan(storage, cls, state, bindings, symbols);
+    // Naive scan (the seed's algorithm, over SoA slots): the index is
+    // disabled or below the crossover, the class binds no variables, or the
+    // event's bindings do not cover the key tuple.
+    return DispatchTwoPass(
+        storage, cls, state, bindings, symbols,
+        [&](auto&& visit) {
+          for (uint32_t slot : state.instances) {
+            if (store.ExactMatch(slot, bindings.entries, bindings.count)) {
+              visit(slot);
+            }
+          }
+        },
+        [&](auto&& visit) {
+          const size_t count = state.instances.size();
+          for (size_t i = 0; i < count; i++) {
+            visit(state.instances[i]);
+          }
+        });
   });
 }
 
@@ -2025,179 +2181,6 @@ bool Runtime::DispatchUnbound(ThreadContext& storage, const CompiledClass& cls,
   return stepped != 0;
 }
 
-// Fast path: the event binds exactly the class's key variables, so the
-// exact-match set of the naive pass-1 is precisely one index bucket, and —
-// when that bucket is empty — every possible clone parent of pass-2 sits in
-// the unkeyed tail (a fully-keyed instance consistent with the bindings
-// would carry the probed tuple and hence be in the bucket). An event
-// touching one socket therefore steps O(1) instances no matter how many
-// other sockets are live.
-bool Runtime::DispatchIndexed(ThreadContext& storage, const CompiledClass& cls,
-                              ClassState& state, const BindingSet& bindings,
-                              std::span<const uint16_t> symbols) {
-  int64_t key[kMaxVariables];
-  for (uint8_t i = 0; i < cls.key_count; i++) {
-    for (size_t b = 0; b < bindings.count; b++) {
-      if (bindings.entries[b].var == cls.key_vars[i]) {
-        key[i] = bindings.entries[b].value;
-        break;
-      }
-    }
-  }
-  const uint64_t hash = HashKeyTuple(key, cls.key_count);
-  auto key_equals = [&](uint32_t slot) {
-    const auto& values = storage.store_.values(slot);
-    for (uint8_t i = 0; i < cls.key_count; i++) {
-      if (values[cls.key_vars[i]] != key[i]) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  // Pass 1 (exact matches) = the probed bucket.
-  uint32_t head = state.index.Find(hash, key_equals);
-  if (head != kNoSlot) {
-    bool any_step = false;
-    for (uint32_t slot = head; slot != kNoSlot; slot = storage.store_.next(slot)) {
-      if (StepSlot(cls, storage, slot, symbols)) {
-        any_step = true;
-      }
-    }
-    return any_step;
-  }
-
-  // Pass 2 (paper §4.4.1 "Clone"): parents come from the unkeyed tail only.
-  // Clones bind every key variable, so they land in the probed bucket — the
-  // tail never grows while we walk it, and intra-event deduplication is a
-  // walk of the bucket's fresh chain.
-  bool any_step = false;
-  ClassInfo info{cls.id, &cls.automaton};
-  const size_t unkeyed_count = state.unkeyed.size();
-  uint32_t new_head = kNoSlot;
-  for (size_t i = 0; i < unkeyed_count; i++) {
-    const uint32_t parent = state.unkeyed[i];
-    if (!storage.store_.ConsistentWith(parent, bindings.entries, bindings.count)) {
-      continue;
-    }
-    Instance candidate = storage.store_.Materialize(parent);
-    for (size_t b = 0; b < bindings.count; b++) {
-      candidate.Bind(bindings.entries[b].var, bindings.entries[b].value);
-    }
-    bool duplicate = false;
-    for (uint32_t s = new_head; s != kNoSlot; s = storage.store_.next(s)) {
-      if (storage.store_.bound_mask(s) == candidate.bound_mask &&
-          storage.store_.values(s) == candidate.values) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) {
-      continue;
-    }
-    if (!StepInstance(cls, storage, candidate, symbols)) {
-      continue;  // the clone could not consume the event; discard it
-    }
-    uint32_t slot = storage.store_.Allocate();
-    if (slot == kNoSlot) {
-      Bump(storage.stats_.overflows);
-      ReportViolation(storage, cls.id, ViolationKind::kOverflow, "no space to clone instance");
-      continue;
-    }
-    storage.store_.Assign(slot, candidate);
-    state.instances.push_back(slot);
-    storage.store_.next(slot) = state.index.InsertHead(hash, key_equals, slot);
-    if (cls.prefix_pos != CompiledClass::kNoPrefix) {
-      // The clone binds every key variable, the prefix included: file it in
-      // the secondary index too (this path bypasses IndexInstance).
-      IndexSecondary(storage, cls, state, slot);
-    }
-    new_head = slot;
-    any_step = true;
-    Bump(storage.stats_.instances_cloned);
-    BumpClass(storage, cls.id, metrics::ClassCounter::instances_cloned);
-    if (!handlers_.empty()) {
-      const Instance parent_view = storage.store_.Materialize(parent);
-      for (EventHandler* handler : handlers_) {
-        handler->OnClone(info, parent_view, candidate);
-      }
-    }
-  }
-  return any_step;
-}
-
-// Naive scan (the seed's algorithm, now over SoA slots): used when the index
-// is disabled, the class binds no variables, or the event's bindings do not
-// cover the key tuple. Keeps the index coherent for later fast-path events.
-bool Runtime::DispatchScan(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
-                           const BindingSet& bindings, std::span<const uint16_t> symbols) {
-  // Pass 1: instances already bound to exactly these values.
-  bool any_exact = false;
-  bool any_step = false;
-  for (uint32_t slot : state.instances) {
-    if (!storage.store_.ExactMatch(slot, bindings.entries, bindings.count)) {
-      continue;
-    }
-    any_exact = true;
-    if (StepSlot(cls, storage, slot, symbols)) {
-      any_step = true;
-    }
-  }
-  if (any_exact) {
-    return any_step;
-  }
-
-  // Pass 2: clone consistent instances, binding the event's new values
-  // (paper §4.4.1 "Clone"). The parent — typically (∗) — is retained.
-  ClassInfo info{cls.id, &cls.automaton};
-  size_t existing = state.instances.size();
-  for (size_t i = 0; i < existing; i++) {
-    const uint32_t parent = state.instances[i];
-    if (!storage.store_.ConsistentWith(parent, bindings.entries, bindings.count)) {
-      continue;
-    }
-    Instance candidate = storage.store_.Materialize(parent);
-    for (size_t b = 0; b < bindings.count; b++) {
-      candidate.Bind(bindings.entries[b].var, bindings.entries[b].value);
-    }
-    // Deduplicate against instances created earlier in this event.
-    bool duplicate = false;
-    for (size_t j = existing; j < state.instances.size(); j++) {
-      const uint32_t other = state.instances[j];
-      if (storage.store_.bound_mask(other) == candidate.bound_mask &&
-          storage.store_.values(other) == candidate.values) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) {
-      continue;
-    }
-    if (!StepInstance(cls, storage, candidate, symbols)) {
-      continue;  // the clone could not consume the event; discard it
-    }
-    uint32_t slot = storage.store_.Allocate();
-    if (slot == kNoSlot) {
-      Bump(storage.stats_.overflows);
-      ReportViolation(storage, cls.id, ViolationKind::kOverflow, "no space to clone instance");
-      continue;
-    }
-    storage.store_.Assign(slot, candidate);
-    state.instances.push_back(slot);
-    IndexInstance(storage, cls, state, slot);
-    any_step = true;
-    Bump(storage.stats_.instances_cloned);
-    BumpClass(storage, cls.id, metrics::ClassCounter::instances_cloned);
-    if (!handlers_.empty()) {
-      const Instance parent_view = storage.store_.Materialize(parent);
-      for (EventHandler* handler : handlers_) {
-        handler->OnClone(info, parent_view, candidate);
-      }
-    }
-  }
-  return any_step;
-}
-
 void Runtime::IndexInstance(ThreadContext& storage, const CompiledClass& cls,
                             ClassState& state, uint32_t slot) {
   if (!state.indexed) {
@@ -2223,13 +2206,9 @@ void Runtime::IndexInstance(ThreadContext& storage, const CompiledClass& cls,
     storage.store_.next(slot) =
         state.index.InsertHead(HashKeyTuple(key, cls.key_count), key_equals, slot);
   }
-  if (cls.prefix_pos != CompiledClass::kNoPrefix) {
-    IndexSecondary(storage, cls, state, slot);
+  if (cls.prefix_pos == CompiledClass::kNoPrefix) {
+    return;
   }
-}
-
-void Runtime::IndexSecondary(ThreadContext& storage, const CompiledClass& cls,
-                             ClassState& state, uint32_t slot) {
   if (!storage.store_.IsBound(slot, cls.prefix_var)) {
     state.tail2.push_back(slot);  // prefix unbound: the (∗)-side tail
     return;
@@ -2240,96 +2219,6 @@ void Runtime::IndexSecondary(ThreadContext& storage, const CompiledClass& cls,
   };
   storage.store_.next2(slot) =
       state.index2.InsertHead(HashKeyTuple(&value, 1), prefix_equals, slot);
-}
-
-// Partially-bound fast path over the profile-hinted secondary prefix index.
-// Semantically a DispatchScan: pass 1's exact matches all carry the prefix
-// binding, so they sit in the probed prefix bucket; pass 2's clone parents
-// are consistent instances — prefix bound to the probed value (the bucket)
-// or prefix unbound (tail2). Clones bind the prefix, so they land in the
-// bucket (insertion at the head cannot disturb the forward walk) and never
-// in tail2.
-bool Runtime::DispatchPrefix(ThreadContext& storage, const CompiledClass& cls,
-                             ClassState& state, const BindingSet& bindings,
-                             std::span<const uint16_t> symbols) {
-  int64_t prefix_value = 0;
-  for (size_t b = 0; b < bindings.count; b++) {
-    if (bindings.entries[b].var == cls.prefix_var) {
-      prefix_value = bindings.entries[b].value;
-      break;
-    }
-  }
-  auto prefix_equals = [&](uint32_t slot) {
-    return storage.store_.values(slot)[cls.prefix_var] == prefix_value;
-  };
-  const uint32_t head = state.index2.Find(HashKeyTuple(&prefix_value, 1), prefix_equals);
-
-  // Pass 1: exact matches live in the prefix bucket only.
-  bool any_exact = false;
-  bool any_step = false;
-  for (uint32_t slot = head; slot != kNoSlot; slot = storage.store_.next2(slot)) {
-    if (!storage.store_.ExactMatch(slot, bindings.entries, bindings.count)) {
-      continue;
-    }
-    any_exact = true;
-    if (StepSlot(cls, storage, slot, symbols)) {
-      any_step = true;
-    }
-  }
-  if (any_exact) {
-    return any_step;
-  }
-
-  // Pass 2 (paper §4.4.1 "Clone"): parents from the bucket and tail2,
-  // deduplicated against the clones this event already created (they are
-  // appended to `instances`, same as the scan path).
-  ClassInfo info{cls.id, &cls.automaton};
-  const size_t existing = state.instances.size();
-  auto try_clone = [&](uint32_t parent) {
-    if (!storage.store_.ConsistentWith(parent, bindings.entries, bindings.count)) {
-      return;
-    }
-    Instance candidate = storage.store_.Materialize(parent);
-    for (size_t b = 0; b < bindings.count; b++) {
-      candidate.Bind(bindings.entries[b].var, bindings.entries[b].value);
-    }
-    for (size_t j = existing; j < state.instances.size(); j++) {
-      const uint32_t other = state.instances[j];
-      if (storage.store_.bound_mask(other) == candidate.bound_mask &&
-          storage.store_.values(other) == candidate.values) {
-        return;  // duplicate of a clone created earlier in this event
-      }
-    }
-    if (!StepInstance(cls, storage, candidate, symbols)) {
-      return;  // the clone could not consume the event; discard it
-    }
-    uint32_t slot = storage.store_.Allocate();
-    if (slot == kNoSlot) {
-      Bump(storage.stats_.overflows);
-      ReportViolation(storage, cls.id, ViolationKind::kOverflow, "no space to clone instance");
-      return;
-    }
-    storage.store_.Assign(slot, candidate);
-    state.instances.push_back(slot);
-    IndexInstance(storage, cls, state, slot);
-    any_step = true;
-    Bump(storage.stats_.instances_cloned);
-    BumpClass(storage, cls.id, metrics::ClassCounter::instances_cloned);
-    if (!handlers_.empty()) {
-      const Instance parent_view = storage.store_.Materialize(parent);
-      for (EventHandler* handler : handlers_) {
-        handler->OnClone(info, parent_view, candidate);
-      }
-    }
-  };
-  for (uint32_t slot = head; slot != kNoSlot; slot = storage.store_.next2(slot)) {
-    try_clone(slot);
-  }
-  const size_t tail_count = state.tail2.size();
-  for (size_t i = 0; i < tail_count; i++) {
-    try_clone(state.tail2[i]);
-  }
-  return any_step;
 }
 
 bool Runtime::StepSlot(const CompiledClass& cls, ThreadContext& storage, uint32_t slot,

@@ -686,9 +686,11 @@ class Runtime {
   void HandleSiteEvent(ThreadContext& ctx, uint32_t class_id, const BindingSet& bindings);
   // Shared instance-matching core: steps exact matches or clones consistent
   // instances on any of `symbols`; returns true if any instance stepped.
-  // Routes an unbound event with no handlers to DispatchUnbound, an event
-  // whose bindings cover the class's key variables to the index probe, and
-  // everything else to the (semantics-identical) linear scan.
+  // Routes an unbound event with no handlers to DispatchUnbound; everything
+  // else runs DispatchTwoPass over the walks of one route, decided once:
+  // the probed key bucket when the bindings are exactly the class's key
+  // variables, the prefix bucket when they bind the profile-hinted prefix,
+  // and the (semantics-identical) linear scan otherwise.
   bool DispatchToInstances(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
                            const BindingSet& bindings, std::span<const uint16_t> symbols);
   // The flattened path: an unbound event exact-matches every live instance,
@@ -703,28 +705,24 @@ class Runtime {
   template <typename Run>
   auto Profiled(ThreadContext& storage, const CompiledClass& cls, const ClassState& state,
                 const BindingSet& bindings, profile::Cell route, Run&& run);
-  bool DispatchIndexed(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
-                       const BindingSet& bindings, std::span<const uint16_t> symbols);
-  bool DispatchScan(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
-                    const BindingSet& bindings, std::span<const uint16_t> symbols);
-  // Partially-bound fast path via the profile-hinted secondary prefix index:
-  // the event binds the class's prefix variable (but not the full key
-  // tuple), so pass 1 walks one prefix bucket and pass 2's clone parents are
-  // the bucket plus the prefix-unbound tail2 — semantically identical to
-  // DispatchScan, O(bucket + tail2) instead of O(live).
-  bool DispatchPrefix(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
-                      const BindingSet& bindings, std::span<const uint16_t> symbols);
+  // Paper §4.4.1's two passes over one route's candidates: pass 1 steps the
+  // exact matches `exact_walk` visits; when there are none, pass 2 clones
+  // the consistent parents `parent_walk` visits, deduplicated against this
+  // event's earlier clones and filed through IndexInstance. The routes
+  // (probed bucket + unkeyed tail, prefix bucket + bucket and tail2, or the
+  // whole population twice) differ only in their walks.
+  template <typename ExactWalk, typename ParentWalk>
+  bool DispatchTwoPass(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
+                       const BindingSet& bindings, std::span<const uint16_t> symbols,
+                       ExactWalk&& exact_walk, ParentWalk&& parent_walk);
 
   // Files a freshly created slot under the class's index partition (keyed
-  // bucket or unkeyed tail). `instances` membership is the caller's job.
-  // Files nothing while the class's index is not built (state.indexed).
+  // bucket or unkeyed tail) and, for a prefix-hinted class, its secondary
+  // partition (prefix bucket through next2(), or the prefix-unbound tail2).
+  // `instances` membership is the caller's job. Files nothing while the
+  // class's index is not built (state.indexed).
   void IndexInstance(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
                      uint32_t slot);
-  // Files a slot under the class's secondary prefix-index partition (prefix
-  // bucket through next2(), or the prefix-unbound tail2). Only called for
-  // classes with a prefix hint (cls.prefix_pos != kNoPrefix).
-  void IndexSecondary(ThreadContext& storage, const CompiledClass& cls, ClassState& state,
-                      uint32_t slot);
 
   // Steps a stored instance (slot form) or a stack-built clone candidate.
   // `storage` is the context owning (or about to own) the instance — the

@@ -8,14 +8,8 @@
 //
 //   kInterpreted  the reference walk: Automaton::Step's per-state edge
 //                 vectors (NFA mode) / Dfa::Step (use_dfa ablation). Kept
-//                 byte-for-byte equivalent to the seed algorithm; the other
-//                 tiers are differential-tested against it.
-//
-//   kThreaded     a threaded interpreter over compact per-class bytecode
-//                 (layout below): dead symbols pruned to a zero entry
-//                 offset, single-transition symbols collapsed to one
-//                 compare, dense rows inlined as immediates. Opcode
-//                 dispatch uses computed goto under GCC/Clang.
+//                 byte-for-byte equivalent to the seed algorithm; the
+//                 specialised tier is differential-tested against it.
 //
 //   kSpecialised  per-shape kernels:
 //                   * DFA-trackable classes (no incallstack() patterns →
@@ -40,18 +34,6 @@
 // stepping state — while the interpreted NFA walk leaves the mirror stale
 // until a collector exists. Verdicts, stats and coverage are unaffected;
 // the differential test compares exactly those.
-//
-// Threaded bytecode layout (u32 words):
-//   code[0]  flags: bit 0 = DFA-semantics program (use_dfa ablation or a
-//            DFA-trackable class); bit clear = NFA union program
-//   code[1]  symbol count          code[2]  NFA state count
-//   entry[symbol] — offset of the symbol's op, 0 = dead symbol (pruned)
-//   ops (word 0 = opcode | count << 8):
-//     kStepOpEdge   from, to                  one DFA edge: a single compare
-//     kStepOpChain  count × (from, to)        few edges: compare chain
-//     kStepOpRow    dfa_states × target       dense row, kNoTarget sentinel
-//     kStepOpNfa    mask_lo, mask_hi,         NFA step: source mask, then
-//                   nfa_states × (lo, hi)     per-state successor sets
 #ifndef TESLA_RUNTIME_STEP_H_
 #define TESLA_RUNTIME_STEP_H_
 
@@ -99,12 +81,6 @@ using StepBatchFn = uint32_t (*)(const StepProgram&, metrics::Collector*, Instan
                                  const uint32_t* slots, size_t slot_count,
                                  const uint16_t* symbols, size_t symbol_count);
 
-// Threaded-tier opcodes (see the layout comment above).
-inline constexpr uint32_t kStepOpEdge = 0;
-inline constexpr uint32_t kStepOpChain = 1;
-inline constexpr uint32_t kStepOpRow = 2;
-inline constexpr uint32_t kStepOpNfa = 3;
-
 // In packed rows, 0xff marks "no transition" (valid states are ≤ 7).
 inline constexpr uint32_t kStepPackedMiss = 0xff;
 
@@ -122,7 +98,6 @@ struct StepCompileOptions {
 struct StepProgram {
   StepFn fn = nullptr;
   StepBatchFn batch = nullptr;
-  StepTier tier = StepTier::kInterpreted;  // the tier actually selected
   bool use_dfa = false;
   // DFA state fully determines the NFA set (single-symbol steps); the
   // specialised tier steps these classes by table lookup alone.
@@ -148,10 +123,6 @@ struct StepProgram {
   // successor sets.
   std::vector<automata::StateSet> nfa_sources;
   std::vector<automata::StateSet> nfa_targets;
-
-  // Threaded tier: bytecode and the per-symbol entry offsets.
-  std::vector<uint32_t> code;
-  std::vector<uint32_t> entry;
 
   bool Run(metrics::Collector* collector, automata::StateSet& states, uint32_t& dfa_state,
            std::span<const uint16_t> symbols, automata::StateSet* from_out,

@@ -4,8 +4,8 @@
 // per-instance walk. Both paths must be indistinguishable: the same
 // schedule runs once without handlers and once with a no-op handler, and
 // the full RuntimeStats, the per-class metrics counters and the transition
-// coverage bitmap must be identical — on the interpreted, threaded and
-// specialised tiers, in NFA and in use_dfa mode, for bounds that close with
+// coverage bitmap must be identical — on the interpreted and specialised
+// tiers, in NFA and in use_dfa mode, for bounds that close with
 // every instance accepting and with a mix of accepting and failing ones.
 #include <gtest/gtest.h>
 
@@ -173,7 +173,7 @@ void ExpectBatchMatchesWalk(RuntimeOptions options, uint64_t seed, bool all_acce
 
 TEST(BatchedCleanup, MatchesPerInstanceWalk) {
   SetLogLevel(LogLevel::kSilent);
-  for (StepTier tier : {StepTier::kInterpreted, StepTier::kThreaded, StepTier::kSpecialised}) {
+  for (StepTier tier : {StepTier::kInterpreted, StepTier::kSpecialised}) {
     for (bool use_dfa : {false, true}) {
       for (bool all_accept : {true, false}) {
         RuntimeOptions options;

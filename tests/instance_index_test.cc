@@ -6,9 +6,12 @@
 // index_scans are excluded (they intentionally differ between modes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "automata/lower.h"
@@ -560,6 +563,136 @@ TEST(IndexGate, PrefixHintedClassAgreesAtEveryGate) {
                  TwoVariableEvent, 999, 600, finals);
   ExpectRoutesConsistent(finals);
   EXPECT_GT(finals.back().index_probes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Clone content across routes. The stats above count clones; this compares
+// what was cloned: every OnClone of one event — the parent's and the clone's
+// bindings and state sets — must be the same multiset whether the event was
+// served by the naive scan, the full-key probe or the prefix-hinted index.
+// Within one event the routes visit parents in different orders, so each
+// event's list is compared sorted.
+
+using BoundValues = std::vector<std::pair<int, int64_t>>;
+using CloneRecord = std::tuple<BoundValues, automata::StateSet, BoundValues, automata::StateSet>;
+
+BoundValues BoundOf(const runtime::Instance& instance) {
+  BoundValues out;
+  for (int var = 0; var < runtime::kMaxVariables; var++) {
+    if (instance.IsBound(static_cast<uint16_t>(var))) {
+      out.emplace_back(var, instance.values[var]);
+    }
+  }
+  return out;
+}
+
+class CloneRecorder : public runtime::EventHandler {
+ public:
+  void OnClone(const runtime::ClassInfo&, const runtime::Instance& parent,
+               const runtime::Instance& clone) override {
+    clones_.emplace_back(BoundOf(parent), parent.states, BoundOf(clone), clone.states);
+  }
+  // This event's clones, sorted; clears the record for the next event.
+  std::vector<CloneRecord> TakeSorted() {
+    std::sort(clones_.begin(), clones_.end());
+    return std::exchange(clones_, {});
+  }
+
+ private:
+  std::vector<CloneRecord> clones_;
+};
+
+struct CloneSide {
+  CloneSide(const std::string& source, RuntimeOptions options) : side(source, options) {
+    side.rt.AddHandler(&recorder);
+  }
+  Side side;
+  CloneRecorder recorder;
+};
+
+// Drives index off, index on (gate 0) and the prefix-hinted class (prefix =
+// key position 0) through one schedule, comparing each event's clones;
+// appends the three sides' final stats to `finals`, in that order.
+void ExpectSameClonesPerEvent(const std::string& source, Schedule schedule, uint64_t seed,
+                              int rounds, std::vector<RuntimeStats>& finals) {
+  RuntimeOptions naive = TestOptions();
+  naive.instance_index = false;
+  RuntimeOptions hinted = TestOptions();
+  hinted.plan_hints.classes.push_back({"diff", 0, -1, 0});
+  std::vector<std::unique_ptr<CloneSide>> sides;
+  sides.push_back(std::make_unique<CloneSide>(source, naive));
+  sides.push_back(std::make_unique<CloneSide>(source, TestOptions()));
+  sides.push_back(std::make_unique<CloneSide>(source, hinted));
+
+  size_t clones = 0;
+  uint64_t rng = seed;
+  for (int round = 0; round < rounds; round++) {
+    rng = rng * 6364136223846793005ull + 1;
+    for (auto& s : sides) {
+      schedule(s->side, rng);
+    }
+    const std::vector<CloneRecord> want = sides[0]->recorder.TakeSorted();
+    for (size_t i = 1; i < sides.size(); i++) {
+      ASSERT_EQ(sides[i]->recorder.TakeSorted(), want) << "side " << i << " round " << round;
+    }
+    clones += want.size();
+  }
+  EXPECT_GT(clones, 0u);
+  for (auto& s : sides) {
+    finals.push_back(s->side.rt.stats());
+  }
+}
+
+TEST(IndexGate, OneVariableClonesAgreeAcrossRoutes) {
+  std::vector<RuntimeStats> finals;
+  ExpectSameClonesPerEvent("TESLA_WITHIN(syscall, previously(check(x) == 0))",
+                           OneVariableEvent, 7, 400, finals);
+  ASSERT_EQ(finals.size(), 3u);
+  EXPECT_GT(finals[1].index_probes, 0u);  // the full-key probe ran
+}
+
+TEST(IndexGate, TwoVariableClonesAgreeAcrossRoutes) {
+  std::vector<RuntimeStats> finals;
+  ExpectSameClonesPerEvent("TESLA_WITHIN(syscall, previously(pair(x, y) == 0))",
+                           TwoVariableEvent, 12345, 600, finals);
+  ASSERT_EQ(finals.size(), 3u);
+  EXPECT_GT(finals[1].index_probes, 0u);
+  // Partially-bound sites probe the prefix index on the hinted side only.
+  EXPECT_GT(finals[2].index_probes, finals[1].index_probes);
+}
+
+// open(x) binds only the prefix variable and steps the (∗) wildcard, so on
+// the hinted side its clone parent comes from tail2, not the prefix bucket.
+void SequenceEvent(Side& s, uint64_t rng) {
+  const int64_t x = static_cast<int64_t>((rng >> 40) % 4);
+  const int64_t y = static_cast<int64_t>((rng >> 45) % 4);
+  int64_t open_args[] = {x};
+  int64_t pair_args[] = {x, y};
+  Binding full[] = {{0, x}, {1, y}};
+  Binding partial[] = {{0, x}};
+  const uint64_t roll = (rng >> 33) % 16;
+  if (roll == 0) {
+    s.rt.OnFunctionCall(*s.ctx, S("syscall"), {});
+  } else if (roll == 1) {
+    s.rt.OnFunctionReturn(*s.ctx, S("syscall"), {}, 0);
+  } else if (roll < 6) {
+    s.rt.OnFunctionReturn(*s.ctx, S("open"), open_args, 0);
+  } else if (roll < 11) {
+    s.rt.OnFunctionReturn(*s.ctx, S("pair"), pair_args, 0);
+  } else if (roll < 14) {
+    s.rt.OnAssertionSite(*s.ctx, s.id, full);
+  } else {
+    s.rt.OnAssertionSite(*s.ctx, s.id, partial);
+  }
+}
+
+TEST(IndexGate, PrefixTailClonesAgreeAcrossRoutes) {
+  std::vector<RuntimeStats> finals;
+  ExpectSameClonesPerEvent(
+      "TESLA_WITHIN(syscall, previously(TSEQUENCE(open(x) == 0, pair(x, y) == 0)))",
+      SequenceEvent, 31337, 600, finals);
+  ASSERT_EQ(finals.size(), 3u);
+  EXPECT_GT(finals[2].index_probes, finals[1].index_probes);
 }
 
 TEST(IndexGate, GlobalAutomatonAgreesAtEveryGate) {

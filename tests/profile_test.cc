@@ -390,6 +390,24 @@ TEST(ProfileHints, TextRoundTrip) {
 
   EXPECT_FALSE(profile::ParseHints("class nonsense").ok());
   EXPECT_TRUE(profile::ParseHints("# comment only\n\n").ok());
+
+  // Fields the int32_t hint cannot hold are reported, never wrapped into a
+  // different hint: 2^32 would wrap to 0 (probe gate off), 2^31 to INT32_MIN,
+  // and values below -1 ("no hint") mean nothing.
+  for (const char* line : {
+           "class 1:a capacity=16 min_population=4294967296 prefix_key_pos=-1\n",
+           "class 1:a capacity=16 min_population=2147483648 prefix_key_pos=-1\n",
+           "class 1:a capacity=16 min_population=-9 prefix_key_pos=-7\n",
+       }) {
+    auto out_of_range = profile::ParseHints(line);
+    ASSERT_FALSE(out_of_range.ok()) << line;
+    EXPECT_NE(out_of_range.error().ToString().find("field out of range"), std::string::npos)
+        << out_of_range.error().ToString();
+  }
+  auto edge = profile::ParseHints(
+      "class 1:a capacity=16 min_population=2147483647 prefix_key_pos=-1\n");
+  ASSERT_TRUE(edge.ok()) << edge.error().ToString();
+  EXPECT_EQ(edge.value().classes[0].min_population, INT32_MAX);
 }
 
 TEST(ProfileHints, SnapshotDistillsGatedScansIntoHints) {

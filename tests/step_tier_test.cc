@@ -1,12 +1,12 @@
 // Differential coverage for the compiled stepping tiers (runtime/step.h):
-// interpreted, threaded-bytecode and shape-specialised kernels must be
+// the interpreted reference and the shape-specialised kernels must be
 // semantically indistinguishable. Identical pseudo-random schedules drive one
 // runtime per tier and compare, after every event, the full RuntimeStats
 // schema (via the TESLA_RUNTIME_STATS X-macro, so a new counter is compared
 // the day it is added) and the violation sequences; at the end of each
-// schedule the transition-coverage bitmaps must be bit-identical. The IR
-// lowering is cross-validated separately: the emitted step function,
-// evaluated by the IR interpreter, must agree with Dfa::Step everywhere.
+// schedule the transition-coverage bitmaps must be bit-identical. The table
+// lowering is cross-validated separately: LowerStep's flat rows must agree
+// with Dfa::Step everywhere.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,8 +18,6 @@
 #include "automata/lower.h"
 #include "automata/manifest.h"
 #include "automata/stepc.h"
-#include "ir/interp.h"
-#include "ir/stepemit.h"
 #include "metrics/collector.h"
 #include "runtime/handler.h"
 #include "runtime/runtime.h"
@@ -39,15 +37,12 @@ using runtime::Violation;
 
 Symbol S(const char* name) { return InternString(name); }
 
-constexpr StepTier kAllTiers[] = {StepTier::kInterpreted, StepTier::kThreaded,
-                                  StepTier::kSpecialised};
+constexpr StepTier kAllTiers[] = {StepTier::kInterpreted, StepTier::kSpecialised};
 
 const char* TierName(StepTier tier) {
   switch (tier) {
     case StepTier::kInterpreted:
       return "interpreted";
-    case StepTier::kThreaded:
-      return "threaded";
     case StepTier::kSpecialised:
       return "specialised";
   }
@@ -135,7 +130,7 @@ struct TierSet {
 // Randomized lockstep schedules, one per kernel shape.
 
 // Small DFA-trackable class: the specialised tier takes the packed
-// (table-in-registers) kernel, the threaded tier a DFA-semantics program.
+// (table-in-registers) kernel.
 TEST(StepTier, SmallDfaClassAgrees) {
   TierSet tiers("TESLA_WITHIN(syscall, previously(check(x) == 0))");
 
@@ -171,8 +166,7 @@ TEST(StepTier, SmallDfaClassAgrees) {
 }
 
 // Wide alternation: ~19 DFA states exceed the packed kernel's budget, so the
-// specialised tier falls back to the flat-row kernel and the threaded tier
-// emits chain/row ops.
+// specialised tier falls back to the flat-row kernel.
 TEST(StepTier, WideAlternationAgrees) {
   TierSet tiers(
       "TESLA_WITHIN(syscall, previously(c0(x) == 0 || c1(x) == 0 || c2(x) == 0 || "
@@ -213,8 +207,7 @@ TEST(StepTier, WideAlternationAgrees) {
 }
 
 // incallstack() site variants force multi-symbol NFA stepping: the
-// specialised tier runs the mask-and-union kernel, the threaded tier the
-// NFA bytecode program.
+// specialised tier runs the mask-and-union kernel.
 TEST(StepTier, InCallStackClassAgrees) {
   TierSet tiers("TESLA_WITHIN(f, incallstack(g) || previously(a(x) == 0))");
 
@@ -372,11 +365,12 @@ TEST(StepTier, GlobalContextBatchAgrees) {
 }
 
 // ---------------------------------------------------------------------------
-// IR lowering cross-validation: the emitted step function, run through the
-// IR interpreter, must agree with Dfa::Step on every (state, symbol) pair —
-// including the dead symbols the emission prunes.
+// Table lowering cross-validation: LowerStep's flat rows must agree with
+// Dfa::Step on every (state, symbol) pair — dead symbols (no edge anywhere)
+// included, since the specialised kernels index the row without a liveness
+// test.
 
-TEST(StepTier, EmittedIrStepMatchesDfa) {
+TEST(StepTier, LoweredRowsMatchDfa) {
   const char* sources[] = {
       "TESLA_WITHIN(syscall, previously(check(x) == 0))",
       "TESLA_WITHIN(syscall, previously(c0(x) == 0 || c1(x) == 0 || c2(x) == 0 || "
@@ -384,28 +378,18 @@ TEST(StepTier, EmittedIrStepMatchesDfa) {
       "TESLA_WITHIN(f, incallstack(g) || previously(a(x) == 0))",
   };
   for (const char* source : sources) {
-    auto compiled = CompileAssertion(source, {}, "emit");
+    auto compiled = CompileAssertion(source, {}, "lower");
     ASSERT_TRUE(compiled.ok()) << compiled.error().ToString();
     automata::Automaton automaton = std::move(compiled.value());
     automaton.Finalize();
     const automata::Dfa dfa = automata::Determinize(automaton);
     const automata::StepLowering lowering = automata::LowerStep(automaton, dfa);
+    ASSERT_EQ(lowering.dfa_state_count, dfa.states.size()) << source;
+    ASSERT_EQ(lowering.symbol_count, dfa.symbol_count) << source;
 
-    ir::Module module;
-    ir::EmitStepFunction(module, lowering, "step");
-    ASSERT_TRUE(ir::Verify(module).ok()) << source;
-
-    ir::Interpreter interp(module);
     for (uint32_t state = 0; state < lowering.dfa_state_count; state++) {
       for (uint16_t symbol = 0; symbol < lowering.symbol_count; symbol++) {
-        const uint32_t expect = dfa.Step(state, symbol);
-        auto got = interp.Call("step", {static_cast<int64_t>(state),
-                                        static_cast<int64_t>(symbol)});
-        ASSERT_TRUE(got.ok()) << source;
-        const int64_t want = expect == automata::Dfa::kNoTarget
-                                 ? ir::kStepMiss
-                                 : static_cast<int64_t>(expect);
-        ASSERT_EQ(got.value(), want)
+        ASSERT_EQ(lowering.Row(state, symbol), dfa.Step(state, symbol))
             << source << " state=" << state << " symbol=" << symbol;
       }
     }
